@@ -9,7 +9,7 @@ use rand::SeedableRng;
 use std::sync::Arc;
 
 use dora_common::EngineKind;
-use dora_engine::build_engine;
+use dora_engine::{build_engine, execute_next};
 use dora_storage::Database;
 use dora_workloads::{Tm1, Tm1Mix, TpcB, Tpcc, TpccMix, Workload};
 
@@ -20,10 +20,10 @@ fn bench_workload(c: &mut Criterion, name: &str, make: impl Fn() -> Box<dyn Work
         let workload: Arc<dyn Workload> = Arc::from(make());
         workload.setup(&db).unwrap();
         let engine = build_engine(kind, db);
-        engine.bind(workload, 2).unwrap();
+        engine.bind(Arc::clone(&workload), 2).unwrap();
         let mut rng = SmallRng::seed_from_u64(1);
         group.bench_function(kind.label(), |b| {
-            b.iter(|| engine.execute_one(&mut rng));
+            b.iter(|| execute_next(engine.as_ref(), workload.as_ref(), &mut rng, None));
         });
         engine.shutdown();
     }

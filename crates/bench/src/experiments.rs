@@ -11,8 +11,8 @@ use dora_common::config::AdaptiveConfig;
 use dora_common::prelude::*;
 use dora_core::{DoraConfig, DoraEngine};
 use dora_engine::{
-    build_engine, find_peak, BaselineEngine, ClientDriver, DoraExecution, DriverConfig,
-    ExecutionEngine,
+    build_engine, execute_next, find_peak, BaselineEngine, ClientDriver, DoraExecution,
+    DriverConfig, ExecutionEngine,
 };
 use dora_metrics::{global, CounterKind, LatencyHistogram};
 use dora_server::{AdmissionConfig, RetryPolicy, Server, ServerConfig, Statement, SubmitOutcome};
@@ -152,7 +152,8 @@ pub fn fig4(scale: &Scale) -> Report {
             10.0,
         )
         .expect("payment program")
-        .compile_dora();
+        .prepare()
+        .flow_graph();
     for (index, phase) in graph.describe().iter().enumerate() {
         report.line(format!("  phase {}: {}", index + 1, phase.join(", ")));
         if index + 1 < graph.phase_count() {
@@ -322,9 +323,9 @@ pub fn fig7(scale: &Scale) -> Report {
                 workload.setup(&db).expect("setup");
                 let engine = build_engine(system, Arc::clone(&db));
                 engine
-                    .bind(workload, scale.executors_per_table)
+                    .bind(Arc::clone(&workload), scale.executors_per_table)
                     .expect("bind");
-                let latency = driver.measure_engine(iterations, engine.as_ref());
+                let latency = driver.measure_engine(iterations, engine.as_ref(), workload.as_ref());
                 engine.shutdown();
                 latency.mean().as_micros() as f64
             })
@@ -428,7 +429,7 @@ pub fn fig10(scale: &Scale) -> Report {
             trace.record(client, ((w_id - 1) * 10 + (d_id - 1)) as usize);
             match tpcc
                 .payment_program(baseline.db(), w_id, d_id, c_w_id, c_d_id, selector, amount)
-                .and_then(|program| baseline.execute_program(program))
+                .and_then(|program| baseline.execute_prepared(&program.prepare()))
             {
                 Ok(outcome) => outcome.into(),
                 Err(_) => dora_engine::TxnOutcome::Aborted,
@@ -467,7 +468,8 @@ pub fn fig10(scale: &Scale) -> Report {
             match dora.execute(
                 tpcc.payment_program(dora.db(), w_id, d_id, c_w_id, c_d_id, selector, amount)
                     .expect("program")
-                    .compile_dora(),
+                    .prepare()
+                    .flow_graph(),
             ) {
                 Ok(()) => dora_engine::TxnOutcome::Committed,
                 Err(_) => dora_engine::TxnOutcome::Aborted,
@@ -684,7 +686,7 @@ fn run_skew_phase(
         hardware_contexts: scale.hardware_contexts,
     });
     let engine_dyn: Arc<dyn ExecutionEngine> = Arc::clone(&execution) as _;
-    let before = driver.run_engine(Arc::clone(&engine_dyn));
+    let before = driver.run_engine(Arc::clone(&engine_dyn), Arc::clone(&workload));
     // The second run reuses the already-warm engine with no warm-up of its
     // own, so the load delta around it is exactly the final interval.
     let after_driver = ClientDriver::new(DriverConfig {
@@ -692,7 +694,7 @@ fn run_skew_phase(
         ..driver.config().clone()
     });
     let loads_mark = execution.dora().executor_loads(table).expect("loads");
-    let after = after_driver.run_engine(engine_dyn);
+    let after = after_driver.run_engine(engine_dyn, workload);
     let loads_end = execution.dora().executor_loads(table).expect("loads");
     let resizes = execution.adaptive_resizes();
     execution.shutdown();
@@ -770,18 +772,17 @@ pub fn skew_with_summary(scale: &Scale) -> (Report, SkewSummary) {
     (report, summary)
 }
 
-/// One mode of the `dispatch` experiment: the fan-out workload driven with
-/// the executor message path either per-message or batched.
+/// The counters of the `dispatch` experiment: the fan-out workload driven
+/// through DORA's batched executor message path.
 #[derive(Debug, Clone)]
 pub struct DispatchMode {
-    /// Mode label ("per-message" / "batched").
+    /// Mode label ("batched").
     pub label: &'static str,
     /// Committed tps over the measured interval.
     pub tps: f64,
     /// Transactions committed.
     pub committed: u64,
-    /// Transactions aborted (per-message mode may abort deadlock victims —
-    /// its dispatches are not latched atomically).
+    /// Transactions aborted.
     pub aborted: u64,
     /// DORA actions executed.
     pub actions: u64,
@@ -795,8 +796,9 @@ pub struct DispatchMode {
 
 impl DispatchMode {
     /// Inbox-mutex acquisitions (producer + consumer side) per executed
-    /// action — the figure of merit: batching must push this well below the
-    /// per-message mode's ~2.
+    /// action — the figure of merit: batching keeps this well below the ~3
+    /// a per-message path pays (one push and one pop per action, one more
+    /// pop per commit notification).
     pub fn mutex_acquisitions_per_action(&self) -> f64 {
         (self.producer_batches + self.inbox_drains) as f64 / self.actions.max(1) as f64
     }
@@ -826,41 +828,37 @@ pub struct DispatchSummary {
     pub clients: usize,
     /// Measured interval length, in milliseconds.
     pub interval_ms: u64,
-    /// The measured modes, per-message first.
-    pub modes: Vec<DispatchMode>,
+    /// The batched message path's counters.
+    pub batched: DispatchMode,
 }
 
 impl DispatchSummary {
     /// Renders the summary as a small JSON document (the workspace has no
-    /// serde; the fields are all numbers, so hand-rolling is safe).
+    /// serde; the fields are all numbers, so hand-rolling is safe). The
+    /// counters stay in a one-entry `modes` array, the shape earlier
+    /// artifacts (which also carried a per-message mode) used.
     pub fn to_json(&self) -> String {
-        let modes = self
-            .modes
-            .iter()
-            .map(|mode| {
-                format!(
-                    concat!(
-                        "    {{\"label\": \"{}\", \"tps\": {:.1}, ",
-                        "\"committed\": {}, \"aborted\": {}, \"actions\": {}, ",
-                        "\"messages\": {}, \"producer_batches\": {}, ",
-                        "\"inbox_drains\": {}, \"mutex_acq_per_action\": {:.4}, ",
-                        "\"avg_producer_batch\": {:.3}, \"avg_drain_batch\": {:.3}}}"
-                    ),
-                    mode.label,
-                    mode.tps,
-                    mode.committed,
-                    mode.aborted,
-                    mode.actions,
-                    mode.messages,
-                    mode.producer_batches,
-                    mode.inbox_drains,
-                    mode.mutex_acquisitions_per_action(),
-                    mode.avg_producer_batch(),
-                    mode.avg_drain_batch(),
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
+        let mode = &self.batched;
+        let modes = format!(
+            concat!(
+                "    {{\"label\": \"{}\", \"tps\": {:.1}, ",
+                "\"committed\": {}, \"aborted\": {}, \"actions\": {}, ",
+                "\"messages\": {}, \"producer_batches\": {}, ",
+                "\"inbox_drains\": {}, \"mutex_acq_per_action\": {:.4}, ",
+                "\"avg_producer_batch\": {:.3}, \"avg_drain_batch\": {:.3}}}"
+            ),
+            mode.label,
+            mode.tps,
+            mode.committed,
+            mode.aborted,
+            mode.actions,
+            mode.messages,
+            mode.producer_batches,
+            mode.inbox_drains,
+            mode.mutex_acquisitions_per_action(),
+            mode.avg_producer_batch(),
+            mode.avg_drain_batch(),
+        );
         format!(
             concat!(
                 "{{\n  \"experiment\": \"dispatch\",\n  \"keys\": {},\n",
@@ -872,22 +870,18 @@ impl DispatchSummary {
     }
 }
 
-fn run_dispatch_mode(scale: &Scale, label: &'static str, batched: bool) -> DispatchMode {
+fn run_dispatch(scale: &Scale) -> DispatchMode {
     let db = Database::new(scale.system_config());
     let workload = scale.fanout();
     workload.setup(&db).expect("setup fanout workload");
     let workload: Arc<dyn Workload> = Arc::new(workload);
 
-    let config = DoraConfig {
-        message_batching: batched,
-        ..DoraConfig::default()
-    };
     // High executor count: the fan-out workload's point is many partitions,
     // so it gets at least four executors even at quick scale.
     let executors = scale.executors_per_table.max(4);
     let execution = Arc::new(DoraExecution::new(Arc::new(DoraEngine::new(
         Arc::clone(&db),
-        config,
+        DoraConfig::default(),
     ))));
     execution
         .bind(Arc::clone(&workload), executors)
@@ -899,14 +893,14 @@ fn run_dispatch_mode(scale: &Scale, label: &'static str, batched: bool) -> Dispa
         warmup: scale.warmup,
         hardware_contexts: scale.hardware_contexts,
     });
-    let result = driver.run_engine(Arc::clone(&execution) as _);
+    let result = driver.run_engine(Arc::clone(&execution) as _, workload);
     execution.shutdown();
 
     // The metric deltas cover exactly the measured interval; experiments run
     // sequentially, so the executor-path counters are attributable to this
     // engine.
     DispatchMode {
-        label,
+        label: "batched",
         tps: result.throughput_tps,
         committed: result.committed,
         aborted: result.aborted,
@@ -917,32 +911,28 @@ fn run_dispatch_mode(scale: &Scale, label: &'static str, batched: bool) -> Dispa
     }
 }
 
-/// The message-path experiment: the high-fan-out counters workload run with
-/// the executor message path per-message vs. batched. Not a paper figure —
-/// it quantifies the "additional inter-core communication" the appendix
-/// names as DORA's cost, and how far batching (amortized dispatch,
-/// drain-style dequeue) pushes it down. The mutex-acquisitions-per-action
-/// column is counter-derived, not sampled.
+/// The message-path experiment: the high-fan-out counters workload run
+/// through DORA's batched executor message path. Not a paper figure — it
+/// quantifies the "additional inter-core communication" the appendix names
+/// as DORA's cost: how many inbox-mutex acquisitions each executed action
+/// pays once dispatch is amortized per destination and executors drain
+/// their whole inbox per lock. The column is counter-derived, not sampled.
 pub fn dispatch(scale: &Scale) -> Report {
     dispatch_with_summary(scale).0
 }
 
 /// [`dispatch`], also returning the machine-readable summary.
 pub fn dispatch_with_summary(scale: &Scale) -> (Report, DispatchSummary) {
-    let modes = vec![
-        run_dispatch_mode(scale, "per-message", false),
-        run_dispatch_mode(scale, "batched", true),
-    ];
     let summary = DispatchSummary {
         keys: scale.fanout_keys,
         fanout: scale.fanout_actions,
         executors: scale.executors_per_table.max(4),
         clients: scale.clients_for(100.0),
         interval_ms: scale.duration.as_millis() as u64,
-        modes,
+        batched: run_dispatch(scale),
     };
 
-    let mut report = Report::new("Dispatch: executor message path, per-message vs batched");
+    let mut report = Report::new("Dispatch: executor message path (batched)");
     report.line(format!(
         "  {} keys, {} actions/txn, {} executors, {} clients, {} ms per interval",
         summary.keys, summary.fanout, summary.executors, summary.clients, summary.interval_ms
@@ -952,35 +942,20 @@ pub fn dispatch_with_summary(scale: &Scale) -> (Report, DispatchSummary) {
         "  {:<12} {:>10} {:>8} {:>10} {:>12} {:>12} {:>12}",
         "mode", "tps", "aborts", "actions", "locks/actn", "push batch", "drain batch"
     ));
-    for mode in &summary.modes {
-        report.line(format!(
-            "  {:<12} {:>10.0} {:>8} {:>10} {:>12.3} {:>12.2} {:>12.2}",
-            mode.label,
-            mode.tps,
-            mode.aborted,
-            mode.actions,
-            mode.mutex_acquisitions_per_action(),
-            mode.avg_producer_batch(),
-            mode.avg_drain_batch(),
-        ));
-    }
+    let mode = &summary.batched;
+    report.line(format!(
+        "  {:<12} {:>10.0} {:>8} {:>10} {:>12.3} {:>12.2} {:>12.2}",
+        mode.label,
+        mode.tps,
+        mode.aborted,
+        mode.actions,
+        mode.mutex_acquisitions_per_action(),
+        mode.avg_producer_batch(),
+        mode.avg_drain_batch(),
+    ));
     report.blank();
-    if let [before, after] = &summary.modes[..] {
-        report.kv(
-            "throughput batched/per-message",
-            format!("{:.2}x", after.tps / before.tps.max(1.0)),
-        );
-        report.kv(
-            "lock acquisitions per action",
-            format!(
-                "{:.3} -> {:.3}",
-                before.mutex_acquisitions_per_action(),
-                after.mutex_acquisitions_per_action()
-            ),
-        );
-    }
     report.line("  (locks/actn = producer pushes + consumer drains per executed action;");
-    report.line("   per-message mode pays ~2, batching amortizes both sides)");
+    report.line("   a per-message path pays ~3, batching amortizes both sides)");
     (report, summary)
 }
 
@@ -1127,7 +1102,7 @@ fn run_commit_cell(
         warmup: scale.warmup,
         hardware_contexts: scale.hardware_contexts,
     });
-    let result = driver.run_engine(Arc::clone(&engine));
+    let result = driver.run_engine(Arc::clone(&engine), Arc::clone(&workload));
     engine.shutdown();
 
     // The group-size histogram is per-database (whole run including
@@ -1369,11 +1344,11 @@ fn run_recover_cell(scale: &Scale, streams: usize) -> RecoverRow {
     let mut rng = SmallRng::seed_from_u64(0x5EC0_4E41 + streams as u64);
     let half = scale.recover_txns / 2;
     for _ in 0..half {
-        let _ = engine.execute_one(&mut rng);
+        let _ = execute_next(engine.as_ref(), workload.as_ref(), &mut rng, None);
     }
     db.log_manager().take_checkpoint();
     for _ in half..scale.recover_txns {
-        let _ = engine.execute_one(&mut rng);
+        let _ = execute_next(engine.as_ref(), workload.as_ref(), &mut rng, None);
     }
     engine.shutdown();
 
@@ -2753,13 +2728,14 @@ fn run_htap_point(
     let oltp: Vec<_> = (0..oltp_clients)
         .map(|client| {
             let engine = Arc::clone(&prepared.engine);
+            let workload = Arc::clone(&prepared.workload);
             let recording = Arc::clone(&recording);
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
                 let mut rng = SmallRng::seed_from_u64(0x47a9 + client as u64 * 6007);
                 let mut committed = 0u64;
                 while !stop.load(Ordering::Relaxed) {
-                    let outcome = engine.execute_one(&mut rng);
+                    let outcome = execute_next(engine.as_ref(), workload.as_ref(), &mut rng, None);
                     if recording.load(Ordering::Relaxed) && outcome == TxnOutcome::Committed {
                         committed += 1;
                     }
@@ -3648,34 +3624,21 @@ mod tests {
             executors: 2,
             clients: 3,
             interval_ms: 80,
-            modes: vec![
-                DispatchMode {
-                    label: "per-message",
-                    tps: 1000.0,
-                    committed: 100,
-                    aborted: 1,
-                    actions: 400,
-                    messages: 500,
-                    producer_batches: 500,
-                    inbox_drains: 500,
-                },
-                DispatchMode {
-                    label: "batched",
-                    tps: 2000.0,
-                    committed: 200,
-                    aborted: 0,
-                    actions: 800,
-                    messages: 1000,
-                    producer_batches: 250,
-                    inbox_drains: 125,
-                },
-            ],
+            batched: DispatchMode {
+                label: "batched",
+                tps: 2000.0,
+                committed: 200,
+                aborted: 0,
+                actions: 800,
+                messages: 1000,
+                producer_batches: 250,
+                inbox_drains: 125,
+            },
         };
         let json = summary.to_json();
         assert!(json.contains("\"experiment\": \"dispatch\""), "{json}");
-        assert!(json.contains("\"label\": \"per-message\""), "{json}");
         assert!(json.contains("\"label\": \"batched\""), "{json}");
-        assert!(json.contains("\"mutex_acq_per_action\": 2.5000"), "{json}");
+        assert!(json.contains("\"mutex_acq_per_action\": 0.4688"), "{json}");
         assert!(json.contains("\"avg_drain_batch\": 8.000"), "{json}");
         for (open, close) in [('{', '}'), ('[', ']')] {
             assert_eq!(

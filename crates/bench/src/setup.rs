@@ -6,7 +6,9 @@ use std::time::Duration;
 
 use dora_common::{config::num_cpus, SystemConfig};
 use dora_core::DoraConfig;
-use dora_engine::{build_engine_with, ClientDriver, DriverConfig, ExecutionEngine, RunResult};
+use dora_engine::{
+    build_engine_with, execute_next, ClientDriver, DriverConfig, ExecutionEngine, RunResult,
+};
 use dora_storage::Database;
 use dora_workloads::{Workload, WorkloadStats};
 
@@ -268,7 +270,7 @@ pub fn run_clients(prepared: &PreparedSystem, scale: &Scale, clients: usize) -> 
         warmup: scale.warmup,
         hardware_contexts: scale.hardware_contexts,
     });
-    driver.run_engine(Arc::clone(&prepared.engine))
+    driver.run_engine(Arc::clone(&prepared.engine), Arc::clone(&prepared.workload))
 }
 
 /// [`run_clients`], also tallying each transaction's type, outcome and
@@ -291,8 +293,16 @@ pub fn run_clients_timed(
     let per_client: Vec<WorkloadStats> = (0..clients).map(|_| WorkloadStats::new()).collect();
     let result = {
         let engine = Arc::clone(&prepared.engine);
+        let workload = Arc::clone(&prepared.workload);
         let per_client = per_client.clone();
-        driver.run(move |client, rng| engine.execute_one_timed(rng, &per_client[client]))
+        driver.run(move |client, rng| {
+            execute_next(
+                engine.as_ref(),
+                workload.as_ref(),
+                rng,
+                Some(&per_client[client]),
+            )
+        })
     };
     for recorder in &per_client {
         stats.merge(recorder);

@@ -45,11 +45,6 @@ impl EngineInner {
         &self.db
     }
 
-    /// The engine configuration.
-    pub(crate) fn config(&self) -> &DoraConfig {
-        &self.config
-    }
-
     fn executors_for(&self, table: TableId) -> DbResult<Vec<Arc<ExecutorShared>>> {
         let executors = self.executors.read();
         executors
@@ -109,18 +104,7 @@ impl EngineInner {
 
         if !routed.is_empty() {
             time_section(TimeCategory::EngineOverhead, || {
-                if self.config.message_batching {
-                    self.push_phase_batched(routed);
-                } else {
-                    // Per-message baseline: one lock/unlock and one wake per
-                    // action, pushes not latched together (see
-                    // `DoraConfig::message_batching`).
-                    for (executor, action) in routed {
-                        executor.enqueue(Message::Action(action));
-                        incr(CounterKind::DoraMessages);
-                        incr(CounterKind::DispatchBatches);
-                    }
-                }
+                self.push_phase_batched(routed);
             });
         }
 

@@ -160,20 +160,6 @@ impl ExecutorShared {
         self.available.notify_one();
     }
 
-    /// Pops a single message, blocking while the inbox is empty — the
-    /// per-message consumer path (one lock acquisition per message), kept as
-    /// the measurement baseline for `message_batching: false`.
-    pub(crate) fn dequeue(&self) -> Message {
-        let mut queue = self.queue.lock();
-        loop {
-            if let Some(message) = queue.pop_front() {
-                self.depth.store(queue.len(), Ordering::Relaxed);
-                return message;
-            }
-            self.available.wait(&mut queue);
-        }
-    }
-
     /// Drains the whole inbox into `batch` under a single lock acquisition,
     /// blocking while the inbox is empty. `batch` must be empty on entry; the
     /// buffers are *swapped*, so the batch's spare capacity becomes the new
@@ -244,17 +230,10 @@ impl ExecutorWorker {
     /// lock, then process it entirely thread-locally. Control messages
     /// (`StartResize`/`FinishResize`/`Shutdown`) keep their FIFO position
     /// relative to actions because the batch is processed in arrival order.
-    /// With `message_batching` off, every message is its own batch (one lock
-    /// acquisition per message — the measurement baseline).
     pub(crate) fn run(mut self) {
-        let batched = self.engine.config().message_batching;
         let mut batch = VecDeque::new();
         loop {
-            if batched {
-                self.shared.dequeue_batch(&mut batch);
-            } else {
-                batch.push_back(self.shared.dequeue());
-            }
+            self.shared.dequeue_batch(&mut batch);
             incr(CounterKind::InboxDrains);
             while let Some(message) = batch.pop_front() {
                 match message {
@@ -474,20 +453,27 @@ mod tests {
         waiter.join().unwrap();
     }
 
+    /// Drains `shared`'s inbox and returns the transaction ids of the
+    /// `Completed` messages it held, in order.
+    fn drain_completed(shared: &ExecutorShared) -> Vec<TxnId> {
+        let mut batch = VecDeque::new();
+        shared.dequeue_batch(&mut batch);
+        batch
+            .into_iter()
+            .map(|message| match message {
+                Message::Completed(txn) => txn,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect()
+    }
+
     #[test]
     fn executor_shared_queue_is_fifo() {
         let shared = ExecutorShared::new(TableId(1), 0);
         shared.enqueue(Message::Completed(TxnId(1)));
         shared.enqueue(Message::Completed(TxnId(2)));
         assert_eq!(shared.queue_depth(), 2);
-        match shared.dequeue() {
-            Message::Completed(txn) => assert_eq!(txn, TxnId(1)),
-            other => panic!("unexpected {other:?}"),
-        }
-        match shared.dequeue() {
-            Message::Completed(txn) => assert_eq!(txn, TxnId(2)),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(drain_completed(&shared), vec![TxnId(1), TxnId(2)]);
     }
 
     #[test]
@@ -499,10 +485,7 @@ mod tests {
         }
         assert_eq!(shared.queue_depth(), 1, "guard drop must refresh depth");
         shared.notify();
-        match shared.dequeue() {
-            Message::Completed(txn) => assert_eq!(txn, TxnId(9)),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(drain_completed(&shared), vec![TxnId(9)]);
         assert_eq!(shared.queue_depth(), 0);
     }
 
@@ -513,16 +496,8 @@ mod tests {
             shared.enqueue(Message::Completed(TxnId(id)));
         }
         assert_eq!(shared.queue_depth(), 5);
-        let mut batch = VecDeque::new();
-        shared.dequeue_batch(&mut batch);
+        let drained = drain_completed(&shared);
         assert_eq!(shared.queue_depth(), 0);
-        let drained: Vec<TxnId> = batch
-            .iter()
-            .map(|message| match message {
-                Message::Completed(txn) => *txn,
-                other => panic!("unexpected {other:?}"),
-            })
-            .collect();
         assert_eq!(drained, (1..=5).map(TxnId).collect::<Vec<_>>());
     }
 

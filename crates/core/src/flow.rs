@@ -39,8 +39,8 @@ impl FlowGraph {
     /// caller-supplied phase number — together with
     /// [`begin_phase`](Self::begin_phase) and
     /// [`phase_with`](Self::phase_with) this is the whole construction
-    /// surface, and it is what [`crate::TxnProgram::compile_dora`] lowers
-    /// programs through.
+    /// surface ([`crate::PreparedProgram::flow_graph`] lowers programs
+    /// through `phase_with`).
     pub fn push(&mut self, action: ActionSpec) -> &mut Self {
         if self.phases.is_empty() {
             self.phases.push(Vec::new());

@@ -11,9 +11,9 @@
 //!   organized in a *transaction flow graph* whose phases are separated by
 //!   *rendezvous points* (Section 4.1.2).
 //! * [`program`] — declarative transaction programs ([`TxnProgram`]): one
-//!   definition per transaction, compiled to a DORA flow graph
-//!   (`compile_dora`) or to a sequential baseline closure
-//!   (`compile_baseline`), so workloads never write a transaction twice.
+//!   definition per transaction, lowered once by `TxnProgram::prepare` into
+//!   a [`PreparedProgram`] that DORA runs as a flow graph and the baseline
+//!   runs step by step, so workloads never write a transaction twice.
 //! * [`locallock`] — each executor's thread-local lock table with
 //!   shared/exclusive modes and key-prefix conflict semantics
 //!   (Section 4.1.3).

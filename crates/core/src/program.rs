@@ -8,19 +8,19 @@
 //! plus [`Step::secondary`] for unroutable work and [`Step::custom`] as the
 //! escape hatch), with [`TxnProgram::rvp`] marking the phase boundaries.
 //!
-//! Two compilers consume a program:
+//! A program is lowered once, by [`TxnProgram::prepare`], into a
+//! [`PreparedProgram`] handle that either engine executes:
 //!
-//! * [`TxnProgram::compile_dora`] lowers the steps to a [`FlowGraph`]: each
+//! * [`PreparedProgram::flow_graph`] materializes a DORA [`FlowGraph`]: each
 //!   phase becomes a set of concurrent [`ActionSpec`]s, probes and in-place
 //!   updates run without centralized concurrency control ([`CcMode::None`] —
 //!   the executor's local lock table serializes conflicts), and record
 //!   inserts/deletes take centralized row locks ([`CcMode::RowOnly`],
-//!   Section 4.2.1). A program marked [`TxnProgram::serialized`] compiles to
+//!   Section 4.2.1). A program marked [`TxnProgram::serialized`] lowers to
 //!   the one-action-per-phase DORA-S plan of Appendix A.4.
-//! * [`TxnProgram::compile_baseline`] lowers the *same* steps to a
-//!   sequential closure for the conventional thread-to-transaction engine,
-//!   where every access goes through the centralized lock manager
-//!   ([`CcMode::Full`]).
+//! * [`PreparedProgram::run_baseline`] runs the *same* steps sequentially
+//!   for the conventional thread-to-transaction engine, where every access
+//!   goes through the centralized lock manager ([`CcMode::Full`]).
 //!
 //! Step bodies never name a [`CcMode`] themselves; they ask the [`StepCtx`]
 //! ([`StepCtx::cc`] for probes/updates, [`StepCtx::write_cc`] for
@@ -42,28 +42,26 @@
 //! db.load_row(table, vec![Value::Int(1), Value::Int(0)]).unwrap();
 //!
 //! // One definition: bump counter 1, then (next phase) read it back.
-//! let program = || {
-//!     TxnProgram::new("bump-and-check")
-//!         .update("bump", table, Key::int(1), Key::int(1), OnMissing::Error, |_ctx, row| {
-//!             let n = row[1].as_int()?;
-//!             row[1] = Value::Int(n + 1);
-//!             Ok(())
-//!         })
-//!         .rvp()
-//!         .read("check", table, Key::int(1), Key::int(1), OnMissing::Abort("gone"), |_ctx, row| {
-//!             assert!(row[1].as_int()? >= 1);
-//!             Ok(())
-//!         })
-//! };
+//! let prepared = TxnProgram::new("bump-and-check")
+//!     .update("bump", table, Key::int(1), Key::int(1), OnMissing::Error, |_ctx, row| {
+//!         let n = row[1].as_int()?;
+//!         row[1] = Value::Int(n + 1);
+//!         Ok(())
+//!     })
+//!     .rvp()
+//!     .read("check", table, Key::int(1), Key::int(1), OnMissing::Abort("gone"), |_ctx, row| {
+//!         assert!(row[1].as_int()? >= 1);
+//!         Ok(())
+//!     })
+//!     .prepare();
 //!
-//! // Compiled for the conventional engine: a sequential closure.
-//! let body = program().compile_baseline();
+//! // Run on the conventional engine: the steps in order, on this thread.
 //! let txn = db.begin();
-//! body(&db, &txn).unwrap();
+//! prepared.run_baseline(&db, &txn).unwrap();
 //! db.commit(&txn).unwrap();
 //!
-//! // The same definition compiled for DORA: a two-phase flow graph.
-//! let graph = program().compile_dora();
+//! // The same handle run by DORA: a two-phase flow graph.
+//! let graph = prepared.flow_graph();
 //! assert_eq!(graph.phase_count(), 2);
 //! let engine = DoraEngine::new(db, DoraConfig::for_tests());
 //! engine.bind_table(table, 2, 1, 100).unwrap();
@@ -178,8 +176,8 @@ pub enum OnDuplicate {
 }
 
 /// The closure type of a step body. Unlike a raw action body it is `Fn`, not
-/// `FnOnce`: the baseline engine re-runs the whole program when it retries a
-/// deadlock victim.
+/// `FnOnce`: a prepared program runs its steps once per execution, and both
+/// engines re-run the whole program when they retry a deadlock victim.
 pub type StepBody = Box<dyn Fn(&StepCtx<'_>) -> DbResult<()> + Send + Sync>;
 
 /// One step of a transaction program: a unit of work against a small set of
@@ -361,7 +359,8 @@ impl Step {
 }
 
 /// A declarative transaction program: the single source of truth for one
-/// transaction, compiled to either execution architecture. See the module
+/// transaction, lowered once by [`prepare`](Self::prepare) and run by either
+/// execution architecture. See the module
 /// docs for the full story and a runnable example.
 #[derive(Debug)]
 pub struct TxnProgram {
@@ -401,9 +400,9 @@ impl TxnProgram {
     }
 
     /// Selects the fully serialized execution plan (DORA-S, Appendix A.4):
-    /// [`compile_dora`](Self::compile_dora) will put every step in its own
-    /// phase, in program order. The baseline compilation is unaffected — it
-    /// is sequential either way.
+    /// [`PreparedProgram::flow_graph`] will put every step in its own phase,
+    /// in program order. The baseline run is unaffected — it is sequential
+    /// either way.
     pub fn serialized(mut self, serial: bool) -> Self {
         self.serial = serial;
         self
@@ -419,9 +418,8 @@ impl TxnProgram {
         self.phases.iter().map(Vec::len).sum()
     }
 
-    /// Number of non-empty phases (what
-    /// [`compile_dora`](Self::compile_dora) will produce for a non-serial
-    /// program).
+    /// Number of non-empty phases (what [`PreparedProgram::flow_graph`] will
+    /// produce for a non-serial program).
     pub fn phase_count(&self) -> usize {
         self.phases.iter().filter(|p| !p.is_empty()).count()
     }
@@ -519,7 +517,7 @@ impl TxnProgram {
     }
 
     /// Applies a bind-time [`ConflictMatrix`](crate::conflict::ConflictMatrix)
-    /// to this program before compilation: steps the matrix proved
+    /// to this program before it is prepared: steps the matrix proved
     /// conflict-free are marked probe-free (their executors skip the
     /// local-lock-table acquire, counter `LockProbesElided`), and a program
     /// the matrix flags as high-abort is switched to the DORA-S serialized
@@ -553,70 +551,11 @@ impl TxnProgram {
             .count()
     }
 
-    // ----- compilers ---------------------------------------------------------
-
-    /// Lowers the program to a DORA transaction flow graph: one
-    /// [`ActionSpec`] per step, phases split at the [`rvp`](Self::rvp)
-    /// boundaries (or one step per phase for a
-    /// [`serialized`](Self::serialized) program), secondary steps as
-    /// secondary actions.
-    pub fn compile_dora(self) -> FlowGraph {
-        let serial = self.serial;
-        let mut graph = FlowGraph::new();
-        for phase in self.phases {
-            if phase.is_empty() {
-                continue;
-            }
-            let actions = phase.into_iter().map(Self::lower_step).collect();
-            graph = graph.phase_with(actions);
-        }
-        if serial {
-            graph.serialized()
-        } else {
-            graph
-        }
-    }
-
-    fn lower_step(step: Step) -> ActionSpec {
-        let body = step.body;
-        let run = move |actx: &crate::action::ActionContext<'_>| {
-            let ctx = StepCtx::new(actx.db, actx.txn, actx.scratch, Backend::Dora);
-            body(&ctx)
-        };
-        if step.route.is_empty() {
-            let mut spec = ActionSpec::secondary(step.label, step.table, run);
-            spec.declared_secondary = step.declared_secondary;
-            spec
-        } else {
-            let mut spec = ActionSpec::new(step.label, step.table, step.route, step.mode, run);
-            spec.elide_probe = step.elide_probe;
-            spec
-        }
-    }
-
-    /// Lowers the program to a sequential transaction body for the
-    /// conventional engine: the same steps, in program order, every access
-    /// under full centralized concurrency control. The closure may be called
-    /// repeatedly (the baseline retries deadlock victims); each call gets a
-    /// fresh scratchpad.
-    pub fn compile_baseline(self) -> impl Fn(&Database, &TxnHandle) -> DbResult<()> + Send + Sync {
-        let steps: Vec<Step> = self.phases.into_iter().flatten().collect();
-        move |db, txn| {
-            let scratch = Scratch::new();
-            let ctx = StepCtx::new(db, txn, &scratch, Backend::Baseline);
-            for step in &steps {
-                (step.body)(&ctx)?;
-            }
-            Ok(())
-        }
-    }
-
-    /// Compiles the program once into a [`PreparedProgram`] handle that can
-    /// be executed any number of times, on either engine, without paying the
-    /// lowering cost again. The prepared form is the seam servers and
-    /// drivers should hold on to; [`compile_dora`](Self::compile_dora) /
-    /// [`compile_baseline`](Self::compile_baseline) remain as the
-    /// compile-per-call convenience path.
+    /// Lowers the program once into a [`PreparedProgram`] handle that can be
+    /// executed any number of times, on either engine, without paying the
+    /// lowering cost again. This is the only lowering: DORA runs the
+    /// handle's [`flow_graph`](PreparedProgram::flow_graph), the baseline its
+    /// [`run_baseline`](PreparedProgram::run_baseline).
     pub fn prepare(self) -> PreparedProgram {
         PreparedProgram {
             name: self.name,
@@ -626,7 +565,7 @@ impl TxnProgram {
     }
 }
 
-/// A [`TxnProgram`] compiled once, executable many times.
+/// A [`TxnProgram`] lowered once, executable many times.
 ///
 /// The step list is shared behind an [`Arc`], so cloning a prepared program
 /// (one clone per session, per execution) is a reference-count bump — no
@@ -842,7 +781,7 @@ mod tests {
         assert_eq!(program.step_count(), 3);
         assert_eq!(program.phase_count(), 2);
         assert_eq!(program.secondary_count(), 1);
-        let graph = program.compile_dora();
+        let graph = program.prepare().flow_graph();
         assert_eq!(graph.phase_count(), 2);
         assert_eq!(graph.actions_in(0), 2);
         assert_eq!(graph.actions_in(1), 1);
@@ -851,7 +790,7 @@ mod tests {
     #[test]
     fn trailing_and_empty_phases_are_dropped() {
         let (_db, table) = counter_db();
-        let graph = bump_program(table, 1).rvp().rvp().compile_dora();
+        let graph = bump_program(table, 1).rvp().rvp().prepare().flow_graph();
         assert_eq!(graph.phase_count(), 1);
     }
 
@@ -864,7 +803,7 @@ mod tests {
             .step(bump_step(table, 3))
             .serialized(true);
         assert!(program.is_serialized());
-        let graph = program.compile_dora();
+        let graph = program.prepare().flow_graph();
         assert_eq!(graph.phase_count(), 3);
         assert!((0..3).all(|p| graph.actions_in(p) == 1));
     }
@@ -892,13 +831,11 @@ mod tests {
         engine.bind_table(table, 2, 1, 8).unwrap();
 
         for id in 1..=4i64 {
-            let body = bump_program(table, id).compile_baseline();
+            let prepared = bump_program(table, id).prepare();
             let txn = db_base.begin();
-            body(&db_base, &txn).unwrap();
+            prepared.run_baseline(&db_base, &txn).unwrap();
             db_base.commit(&txn).unwrap();
-            engine
-                .execute(bump_program(table, id).compile_dora())
-                .unwrap();
+            engine.execute(prepared.flow_graph()).unwrap();
         }
         for id in 1..=8i64 {
             assert_eq!(
@@ -913,17 +850,17 @@ mod tests {
     #[test]
     fn baseline_retry_gets_a_fresh_scratchpad() {
         let (db, table) = counter_db();
-        let body = TxnProgram::new("scratch")
+        let prepared = TxnProgram::new("scratch")
             .custom("stash", table, Key::int(1), LocalMode::Shared, |ctx| {
                 // A retry must not see the previous attempt's value.
                 assert!(ctx.scratch.get("seen").is_none());
                 ctx.scratch.put("seen", 1i64);
                 Ok(())
             })
-            .compile_baseline();
+            .prepare();
         for _ in 0..3 {
             let txn = db.begin();
-            body(&db, &txn).unwrap();
+            prepared.run_baseline(&db, &txn).unwrap();
             db.abort(&txn).unwrap();
         }
     }
@@ -932,9 +869,9 @@ mod tests {
     fn typed_steps_map_missing_and_duplicate_outcomes() {
         let (db, table) = counter_db();
         let run = |program: TxnProgram| {
-            let body = program.compile_baseline();
+            let prepared = program.prepare();
             let txn = db.begin();
-            let result = body(&db, &txn);
+            let result = prepared.run_baseline(&db, &txn);
             db.abort(&txn).unwrap();
             result
         };
@@ -1000,8 +937,8 @@ mod tests {
             .serialized(true)
             .prepare();
         assert!(prepared.is_serialized());
-        // Like compile_dora, a serialized prepared program lowers to one
-        // action per phase, and the handle can do it again and again.
+        // A serialized prepared program lowers to one action per phase, and
+        // the handle can do it again and again.
         for _ in 0..2 {
             let graph = prepared.flow_graph();
             assert_eq!(graph.phase_count(), 3);
@@ -1044,7 +981,7 @@ mod tests {
             .with_conflicts(&matrix);
         assert_eq!(program.elided_count(), 1);
         assert!(program.is_serialized(), "0.5 ≥ 0.1 with a conflicting step");
-        let described = program.compile_dora().describe();
+        let described = program.prepare().flow_graph().describe();
         let flat: Vec<_> = described.iter().flatten().collect();
         assert!(flat
             .iter()
@@ -1057,28 +994,6 @@ mod tests {
         let adhoc = bump_program(table, 1).with_conflicts(&matrix);
         assert_eq!(adhoc.elided_count(), 0);
         assert!(!adhoc.is_serialized());
-
-        // `prepare()` keeps the marks: the re-lowered flow graph still
-        // carries them.
-        let prepared = TxnProgram::new("mixed")
-            .step(bump_step(table, 1))
-            .read(
-                "peek",
-                table,
-                Key::int(2),
-                Key::int(2),
-                OnMissing::Error,
-                |_, _| Ok(()),
-            )
-            .with_conflicts(&matrix)
-            .prepare();
-        let flat: Vec<String> = prepared
-            .flow_graph()
-            .describe()
-            .into_iter()
-            .flatten()
-            .collect();
-        assert!(flat.iter().any(|s| s.contains("[probe-free]")));
     }
 
     #[test]

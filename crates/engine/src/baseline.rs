@@ -12,6 +12,8 @@ use dora_common::prelude::*;
 use dora_metrics::{incr, CounterKind};
 use dora_storage::{Database, TxnHandle};
 
+use crate::exec::retry_deadlocks;
+
 pub use dora_common::outcome::BaselineOutcome;
 
 /// The conventional execution engine.
@@ -23,17 +25,15 @@ pub use dora_common::outcome::BaselineOutcome;
 #[derive(Clone)]
 pub struct BaselineEngine {
     db: Arc<Database>,
-    max_retries: usize,
     /// Workload bound through [`crate::exec::ExecutionEngine::bind`]; in an
-    /// `Arc` so clones share the binding, in a `OnceLock` so the per-txn
-    /// read path stays lock-free.
+    /// `Arc` so clones share the binding, in a `OnceLock` so a second bind
+    /// is rejected.
     bound: Arc<std::sync::OnceLock<Arc<dyn dora_workloads::Workload>>>,
 }
 
 impl std::fmt::Debug for BaselineEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BaselineEngine")
-            .field("max_retries", &self.max_retries)
             .field("bound", &self.bound.get().map(|w| w.name()))
             .finish_non_exhaustive()
     }
@@ -42,10 +42,8 @@ impl std::fmt::Debug for BaselineEngine {
 impl BaselineEngine {
     /// Creates a baseline engine over `db`.
     pub fn new(db: Arc<Database>) -> Self {
-        let max_retries = db.config().max_retries;
         Self {
             db,
-            max_retries,
             bound: Arc::new(std::sync::OnceLock::new()),
         }
     }
@@ -77,7 +75,7 @@ impl BaselineEngine {
     where
         F: Fn(&Database, &TxnHandle) -> DbResult<()>,
     {
-        for _attempt in 0..=self.max_retries {
+        retry_deadlocks(&self.db, BaselineOutcome::GaveUp, || {
             let txn = self.db.begin();
             // Worker supervision, symmetric to the DORA executors': a panic
             // in the transaction body — injected by the chaos plan or a
@@ -101,30 +99,20 @@ impl BaselineEngine {
             match attempt {
                 Ok(()) => {
                     self.db.commit(&txn)?;
-                    return Ok(BaselineOutcome::Committed);
-                }
-                Err(DbError::Deadlock { .. }) => {
-                    self.db.abort(&txn)?;
-                    // Retry the transaction from scratch.
-                    continue;
+                    Ok(BaselineOutcome::Committed)
                 }
                 Err(DbError::TxnAborted { .. }) => {
                     self.db.abort(&txn)?;
-                    return Ok(BaselineOutcome::Aborted);
+                    Ok(BaselineOutcome::Aborted)
                 }
-                Err(other) => {
+                // A deadlock victim is rolled back here and resubmitted by
+                // `retry_deadlocks`; anything else reaches the caller.
+                Err(error) => {
                     self.db.abort(&txn)?;
-                    return Err(other);
+                    Err(error)
                 }
             }
-        }
-        incr(CounterKind::TxnGaveUp);
-        Ok(BaselineOutcome::GaveUp)
-    }
-
-    /// Compiles `program` for this engine and runs it to completion.
-    pub fn execute_program(&self, program: dora_core::TxnProgram) -> DbResult<BaselineOutcome> {
-        self.execute(program.compile_baseline())
+        })
     }
 
     /// Runs one instance of a prepared program (compile-once/execute-many:

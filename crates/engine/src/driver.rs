@@ -5,7 +5,9 @@
 //! (measured utilization plus time spent runnable), swept by varying the
 //! number of clients. [`ClientDriver`] reproduces that methodology for both
 //! engines: the job closure it runs may call the baseline engine or submit
-//! DORA flow graphs — the driver neither knows nor cares.
+//! DORA flow graphs — the driver neither knows nor cares. [`execute_next`]
+//! is the one job every engine-driving caller shares: draw a program from a
+//! workload's mix, prepare it, execute it and fold the result.
 //!
 //! Besides throughput and latency it captures the delta of every metric the
 //! figures need: the time-breakdown categories (Figures 1–3), the lock counts
@@ -21,6 +23,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use dora_metrics::{global, CounterKind, LatencyHistogram, Snapshot, TimeBreakdown, TimeCategory};
+use dora_workloads::{Workload, WorkloadStats};
 
 use crate::exec::ExecutionEngine;
 
@@ -233,6 +236,33 @@ pub fn process_cpu_time() -> Option<Duration> {
     Some(Duration::from_millis((utime + stime) * 10))
 }
 
+/// Runs one transaction drawn from `workload`'s mix on `engine`: draws the
+/// next program, prepares it, executes the handle (deadlock victims are
+/// retried by the engine) and folds every error into
+/// [`TxnOutcome::Aborted`]. With `stats`, the transaction is also timed and
+/// tallied under its type label — the feed for the per-type summary tables
+/// (commits, aborts, gave-up, error rate, response times) the reports print.
+pub fn execute_next(
+    engine: &dyn ExecutionEngine,
+    workload: &dyn Workload,
+    rng: &mut SmallRng,
+    stats: Option<&WorkloadStats>,
+) -> TxnOutcome {
+    let Ok(program) = workload.next_program(engine.db(), rng) else {
+        return TxnOutcome::Aborted;
+    };
+    let label = program.name();
+    let start = Instant::now();
+    let outcome = engine
+        .prepare(program)
+        .and_then(|prepared| engine.execute_prepared_checked(&prepared))
+        .unwrap_or(TxnOutcome::Aborted);
+    if let Some(stats) = stats {
+        stats.record_timed(label, outcome, start.elapsed());
+    }
+    outcome
+}
+
 /// The closed-loop driver.
 #[derive(Debug, Clone)]
 pub struct ClientDriver {
@@ -361,22 +391,27 @@ impl ClientDriver {
     }
 
     /// Runs a closed-loop load against `engine`: every client thread draws
-    /// transactions from the engine's bound workload via
-    /// [`ExecutionEngine::execute_one`]. This is how every sweep-path caller
-    /// drives an engine — the driver knows nothing about which execution
-    /// architecture is behind the trait object.
-    pub fn run_engine(&self, engine: Arc<dyn ExecutionEngine>) -> RunResult {
-        self.run(move |_client, rng| engine.execute_one(rng))
+    /// transactions from `workload` (the one bound to `engine`) through
+    /// [`execute_next`]. This is how every sweep-path caller drives an
+    /// engine — the driver knows nothing about which execution architecture
+    /// is behind the trait object.
+    pub fn run_engine(
+        &self,
+        engine: Arc<dyn ExecutionEngine>,
+        workload: Arc<dyn Workload>,
+    ) -> RunResult {
+        self.run(move |_client, rng| execute_next(engine.as_ref(), workload.as_ref(), rng, None))
     }
 
-    /// Single-client latency measurement against `engine`, the methodology
-    /// of Figure 7.
+    /// Single-client latency measurement of `workload`'s mix on `engine`,
+    /// the methodology of Figure 7.
     pub fn measure_engine(
         &self,
         iterations: usize,
         engine: &dyn ExecutionEngine,
+        workload: &dyn Workload,
     ) -> LatencyHistogram {
-        self.measure_single(iterations, |rng| engine.execute_one(rng))
+        self.measure_single(iterations, |rng| execute_next(engine, workload, rng, None))
     }
 
     /// Runs `job` exactly once on a single client and reports the observed
@@ -511,6 +546,36 @@ mod tests {
         // so only the lower bound is exact.
         assert!(result.mean_commit_wait() >= Duration::from_micros(150));
         assert!(result.mean_execute_latency() <= result.latency.mean());
+    }
+
+    #[test]
+    fn timed_execution_feeds_per_type_stats() {
+        use dora_common::prelude::EngineKind;
+        use dora_core::DoraConfig;
+        use dora_storage::Database;
+        use dora_workloads::TpcB;
+
+        for kind in EngineKind::ALL {
+            let db = Database::for_tests();
+            let workload: Arc<dyn Workload> = Arc::new(TpcB::with_accounts(2, 20));
+            workload.setup(&db).unwrap();
+            let engine = crate::build_engine_with(kind, db, DoraConfig::for_tests());
+            engine.bind(Arc::clone(&workload), 2).unwrap();
+            let stats = WorkloadStats::new();
+            let mut rng = SmallRng::seed_from_u64(7);
+            for _ in 0..10 {
+                execute_next(engine.as_ref(), workload.as_ref(), &mut rng, Some(&stats));
+            }
+            let row = stats.type_stats(TpcB::ACCOUNT_UPDATE);
+            assert_eq!(row.total(), 10, "{}: every run tallied", engine.name());
+            assert_eq!(
+                row.latency.count(),
+                10,
+                "{}: every run timed",
+                engine.name()
+            );
+            engine.shutdown();
+        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! (DORA) — over the same storage manager and the same workloads.
 //! [`ExecutionEngine`] is the single seam through which the load driver, the
 //! benchmark harness, the equivalence tests and the examples drive either
-//! one: bind a [`Workload`], then repeatedly execute transactions drawn from
-//! its mix.
+//! one: bind a [`Workload`], [`prepare`](ExecutionEngine::prepare) each
+//! program once, then execute the prepared handle.
 //!
 //! Adding a third architecture (e.g. a physiologically-partitioned or
 //! HTAP-style engine) requires implementing this trait and registering a
@@ -14,27 +14,29 @@
 //! experiment code changes.
 
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 
 use parking_lot::Mutex;
-use rand::rngs::SmallRng;
 
 use dora_common::prelude::*;
 use dora_core::{
     AdaptiveController, ConflictMatrix, DoraConfig, DoraEngine, PreparedProgram, TxnProgram,
 };
+use dora_metrics::{incr, CounterKind};
 use dora_storage::{Database, Snapshot};
-use dora_workloads::{Workload, WorkloadStats};
+use dora_workloads::Workload;
 
 use crate::baseline::BaselineEngine;
 
 /// One execution architecture bound to one workload.
 ///
 /// Implementations hold whatever per-architecture state they need (executor
-/// threads, routing tables, retry policy); callers see only:
-/// *setup* — [`bind`](Self::bind) a workload once, *execute* —
-/// [`execute_one`](Self::execute_one) transaction from the bound workload's
-/// mix, and *teardown* — [`shutdown`](Self::shutdown).
+/// threads, routing tables); callers see only: *setup* —
+/// [`bind`](Self::bind) a workload once, *execute* —
+/// [`prepare`](Self::prepare) a program and run the handle with
+/// [`execute_prepared_checked`](Self::execute_prepared_checked) (or, for
+/// read-only programs, on a snapshot), and *teardown* —
+/// [`shutdown`](Self::shutdown). Drawing programs from a workload's mix is
+/// the caller's job ([`crate::driver::execute_next`]).
 pub trait ExecutionEngine: Send + Sync {
     /// Which registered architecture this is.
     fn kind(&self) -> EngineKind;
@@ -48,70 +50,27 @@ pub trait ExecutionEngine: Send + Sync {
     fn db(&self) -> &Arc<Database>;
 
     /// Binds `workload` to this engine: whatever per-architecture setup the
-    /// workload needs (DORA binds tables to executors; the baseline has no
-    /// setup). Must be called exactly once, before `execute_one`.
+    /// workload needs (DORA binds tables to executors and runs the conflict
+    /// analysis; the baseline has no setup). Must be called exactly once,
+    /// before the workload's programs are executed.
     fn bind(&self, workload: Arc<dyn Workload>, executors_per_table: usize) -> DbResult<()>;
 
-    /// Runs one transaction drawn from the bound workload's mix.
-    ///
-    /// # Panics
-    /// Panics if no workload has been bound.
-    fn execute_one(&self, rng: &mut SmallRng) -> TxnOutcome;
-
-    /// Like [`execute_one`](Self::execute_one), but also times the
-    /// transaction and tallies its outcome under its transaction-type label
-    /// in `stats` — the feed for the per-type summary tables (commits,
-    /// aborts, gave-up, error rate, response times) the benchmark reports
-    /// print. The default runs untimed and records nothing; both registered
-    /// architectures override it.
-    fn execute_one_timed(&self, rng: &mut SmallRng, stats: &WorkloadStats) -> TxnOutcome {
-        let _ = stats;
-        self.execute_one(rng)
-    }
-
-    /// Compiles `program` once into a reusable [`PreparedProgram`] handle —
-    /// the compile-once/execute-many seam servers hold on to. The default
+    /// Lowers `program` once into a reusable [`PreparedProgram`] handle —
+    /// the prepare-once/execute-many seam servers hold on to. The default
     /// just lowers; an architecture may also validate (e.g. that every
     /// routed table is bound).
     fn prepare(&self, program: TxnProgram) -> DbResult<PreparedProgram> {
         Ok(program.prepare())
     }
 
-    /// Executes one instance of a prepared program, surfacing the terminal
+    /// Executes one instance of a prepared program, retrying deadlock
+    /// victims up to the database's `max_retries` and surfacing the terminal
     /// error instead of folding every failure into an outcome. The serving
     /// front-end uses this to tell a retryable abort apart from a
     /// non-retryable failure such as [`DbError::DurabilityLost`] (a ghost
-    /// commit must never be re-run). Unlike [`execute_one`](Self::execute_one)
-    /// this needs no bound workload: the program *is* the work.
+    /// commit must never be re-run). The program *is* the work: no bound
+    /// workload is consulted.
     fn execute_prepared_checked(&self, prepared: &PreparedProgram) -> DbResult<TxnOutcome>;
-
-    /// Outcome-folding convenience over
-    /// [`execute_prepared_checked`](Self::execute_prepared_checked): every
-    /// error becomes `Aborted`. Kept for callers that never need to
-    /// distinguish failure modes (the load driver, the equivalence tests).
-    fn execute_prepared(&self, prepared: &PreparedProgram) -> TxnOutcome {
-        match self.execute_prepared_checked(prepared) {
-            Ok(outcome) => outcome,
-            Err(_) => TxnOutcome::Aborted,
-        }
-    }
-
-    /// Checked compile-per-call path: prepares `program` and executes it
-    /// once, surfacing terminal errors like the prepared variant.
-    fn execute_program_checked(&self, program: TxnProgram) -> DbResult<TxnOutcome> {
-        let prepared = self.prepare(program)?;
-        self.execute_prepared_checked(&prepared)
-    }
-
-    /// Compile-per-call convenience: prepares `program` and executes it
-    /// once. Source-compatible with the pre-prepared-handle API; hot paths
-    /// should [`prepare`](Self::prepare) once instead.
-    fn execute_program(&self, program: TxnProgram) -> TxnOutcome {
-        match self.execute_program_checked(program) {
-            Ok(outcome) => outcome,
-            Err(_) => TxnOutcome::Aborted,
-        }
-    }
 
     /// Pins a [`Snapshot`] at the current published commit-ticket horizon.
     /// Engine-agnostic: snapshots live in the storage manager, below the
@@ -153,12 +112,25 @@ pub trait ExecutionEngine: Send + Sync {
     fn shutdown(&self) {}
 }
 
-impl BaselineEngine {
-    fn bound_workload(&self) -> &Arc<dyn Workload> {
-        self.bound()
-            .get()
-            .expect("BaselineEngine: no workload bound")
+/// Runs `attempt` until it ends in anything but a deadlock, at most
+/// `1 + max_retries` times (the database's configured budget). Each attempt
+/// must leave no transaction behind when it fails, so a victim can be
+/// resubmitted from scratch. When every attempt was a deadlock victim the
+/// give-up is counted under `CounterKind::TxnGaveUp` and `gave_up` is
+/// returned, so retry exhaustion stays visible.
+pub(crate) fn retry_deadlocks<T>(
+    db: &Database,
+    gave_up: T,
+    mut attempt: impl FnMut() -> DbResult<T>,
+) -> DbResult<T> {
+    for _attempt in 0..=db.config().max_retries {
+        match attempt() {
+            Err(DbError::Deadlock { .. }) => continue,
+            other => return other,
+        }
     }
+    incr(CounterKind::TxnGaveUp);
+    Ok(gave_up)
 }
 
 impl ExecutionEngine for BaselineEngine {
@@ -176,35 +148,6 @@ impl ExecutionEngine for BaselineEngine {
         self.bound()
             .set(workload)
             .map_err(|_| DbError::InvalidOperation("workload already bound to this engine".into()))
-    }
-
-    fn execute_one(&self, rng: &mut SmallRng) -> TxnOutcome {
-        // Generic dispatch: draw the next declarative program from the bound
-        // workload's mix and run its sequential (baseline) compilation on
-        // the calling thread, retrying deadlock victims.
-        let workload = self.bound_workload().clone();
-        match workload
-            .next_program(self.db(), rng)
-            .and_then(|program| BaselineEngine::execute_program(self, program))
-        {
-            Ok(outcome) => outcome.into(),
-            Err(_) => TxnOutcome::Aborted,
-        }
-    }
-
-    fn execute_one_timed(&self, rng: &mut SmallRng, stats: &WorkloadStats) -> TxnOutcome {
-        let workload = self.bound_workload().clone();
-        let Ok(program) = workload.next_program(self.db(), rng) else {
-            return TxnOutcome::Aborted;
-        };
-        let label = program.name();
-        let start = Instant::now();
-        let outcome = match BaselineEngine::execute_program(self, program) {
-            Ok(outcome) => outcome.into(),
-            Err(_) => TxnOutcome::Aborted,
-        };
-        stats.record_timed(label, outcome, start.elapsed());
-        outcome
     }
 
     fn execute_prepared_checked(&self, prepared: &PreparedProgram) -> DbResult<TxnOutcome> {
@@ -225,7 +168,7 @@ pub struct DoraExecution {
     /// The workload's conflict matrix, computed once at bind time when
     /// `DoraConfig::conflict_elision` is set and the workload declares step
     /// templates. Every program the mix produces is stamped against it
-    /// before compilation (probe-free steps, DORA-S auto-serialization).
+    /// when it is prepared (probe-free steps, DORA-S auto-serialization).
     conflicts: OnceLock<Arc<ConflictMatrix>>,
 }
 
@@ -243,16 +186,6 @@ impl DoraExecution {
     /// The bind-time conflict matrix, when one was computed.
     pub fn conflict_matrix(&self) -> Option<&Arc<ConflictMatrix>> {
         self.conflicts.get()
-    }
-
-    /// Stamps `program` against the bind-time conflict matrix: marks
-    /// probe-free steps and auto-serializes high-abort programs. A no-op when
-    /// no matrix was computed or the program's name is unknown to it.
-    fn with_conflicts(&self, program: TxnProgram) -> TxnProgram {
-        match self.conflicts.get() {
-            Some(matrix) => program.with_conflicts(matrix),
-            None => program,
-        }
     }
 
     /// The wrapped DORA engine, for callers that need architecture-specific
@@ -296,14 +229,6 @@ impl ExecutionEngine for DoraExecution {
                     &templates,
                     self.engine.config().serialize_abort_threshold,
                 );
-                let db = self.engine.db();
-                let report = matrix.report(&|table| {
-                    db.catalog()
-                        .table(table)
-                        .map(|meta| meta.schema.name.clone())
-                        .unwrap_or_else(|_| table.to_string())
-                });
-                eprintln!("{report}");
                 let _ = self.conflicts.set(Arc::new(matrix));
             }
         }
@@ -320,52 +245,16 @@ impl ExecutionEngine for DoraExecution {
         Ok(())
     }
 
-    fn execute_one(&self, rng: &mut SmallRng) -> TxnOutcome {
-        // Generic dispatch: the same program the baseline would run, lowered
-        // to a transaction flow graph and submitted to the executors.
-        let workload = self
-            .bound
-            .get()
-            .expect("DoraExecution: no workload bound")
-            .clone();
-        match workload
-            .next_program(self.engine.db(), rng)
-            .and_then(|program| {
-                self.engine
-                    .execute(self.with_conflicts(program).compile_dora())
-            }) {
-            Ok(()) => TxnOutcome::Committed,
-            Err(_) => TxnOutcome::Aborted,
-        }
-    }
-
-    fn execute_one_timed(&self, rng: &mut SmallRng, stats: &WorkloadStats) -> TxnOutcome {
-        let workload = self
-            .bound
-            .get()
-            .expect("DoraExecution: no workload bound")
-            .clone();
-        let Ok(program) = workload.next_program(self.engine.db(), rng) else {
-            return TxnOutcome::Aborted;
-        };
-        let label = program.name();
-        let start = Instant::now();
-        let outcome = match self
-            .engine
-            .execute(self.with_conflicts(program).compile_dora())
-        {
-            Ok(()) => TxnOutcome::Committed,
-            Err(_) => TxnOutcome::Aborted,
-        };
-        stats.record_timed(label, outcome, start.elapsed());
-        outcome
-    }
-
     fn prepare(&self, program: TxnProgram) -> DbResult<PreparedProgram> {
-        // Stamp conflict-analysis results *before* preparing: the prepared
-        // handle shares its steps behind an `Arc`, so this is the last point
-        // the program is mutable.
-        Ok(self.with_conflicts(program).prepare())
+        // Stamp conflict-analysis results (probe-free steps, DORA-S
+        // auto-serialization) *before* preparing: the prepared handle shares
+        // its steps behind an `Arc`, so this is the last point the program is
+        // mutable. Programs unknown to the matrix pass through unchanged.
+        let program = match self.conflicts.get() {
+            Some(matrix) => program.with_conflicts(matrix),
+            None => program,
+        };
+        Ok(program.prepare())
     }
 
     fn conflict_report(&self) -> Option<String> {
@@ -381,10 +270,14 @@ impl ExecutionEngine for DoraExecution {
 
     fn execute_prepared_checked(&self, prepared: &PreparedProgram) -> DbResult<TxnOutcome> {
         // The prepared handle re-materializes only the per-instance action
-        // shells; the step bodies are shared behind the handle's `Arc`.
-        self.engine
-            .execute(prepared.flow_graph())
-            .map(|()| TxnOutcome::Committed)
+        // shells; the step bodies are shared behind the handle's `Arc`. A
+        // deadlock victim is already aborted when `execute` returns, so each
+        // retry submits a fresh flow graph.
+        retry_deadlocks(self.engine.db(), TxnOutcome::GaveUp, || {
+            self.engine
+                .execute(prepared.flow_graph())
+                .map(|()| TxnOutcome::Committed)
+        })
     }
 
     fn shutdown(&self) {
@@ -422,31 +315,33 @@ pub fn build_engine(kind: EngineKind, db: Arc<Database>) -> Arc<dyn ExecutionEng
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::execute_next;
     use dora_workloads::TpcB;
+    use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    fn bound_engine(kind: EngineKind) -> Arc<dyn ExecutionEngine> {
+    fn bound_engine(kind: EngineKind) -> (Arc<dyn ExecutionEngine>, Arc<dyn Workload>) {
         let db = Database::for_tests();
         let workload: Arc<dyn Workload> = Arc::new(TpcB::with_accounts(2, 20));
         workload.setup(&db).unwrap();
         let engine = build_engine_with(kind, db, DoraConfig::for_tests());
-        engine.bind(workload, 2).unwrap();
-        engine
+        engine.bind(Arc::clone(&workload), 2).unwrap();
+        (engine, workload)
     }
 
     #[test]
     fn every_registered_engine_executes_transactions() {
         for kind in EngineKind::ALL {
-            let engine = bound_engine(kind);
+            let (engine, workload) = bound_engine(kind);
             assert_eq!(engine.kind(), kind);
             assert_eq!(engine.name(), kind.label());
             let mut rng = SmallRng::seed_from_u64(3);
-            let mut committed = 0;
-            for _ in 0..20 {
-                if engine.execute_one(&mut rng) == TxnOutcome::Committed {
-                    committed += 1;
-                }
-            }
+            let committed = (0..20)
+                .filter(|_| {
+                    execute_next(engine.as_ref(), workload.as_ref(), &mut rng, None)
+                        == TxnOutcome::Committed
+                })
+                .count();
             assert!(committed > 0, "{} committed nothing", engine.name());
             engine.shutdown();
         }
@@ -455,78 +350,57 @@ mod tests {
     #[test]
     fn every_registered_engine_executes_prepared_programs() {
         for kind in EngineKind::ALL {
-            let db = Database::for_tests();
+            let (engine, _) = bound_engine(kind);
             let workload = TpcB::with_accounts(2, 20);
-            workload.setup(&db).unwrap();
-            let engine = build_engine_with(kind, Arc::clone(&db), DoraConfig::for_tests());
-            // DORA needs its executors even for prepared execution.
-            let arc_workload: Arc<dyn Workload> = Arc::new(TpcB::with_accounts(2, 20));
-            engine.bind(arc_workload, 2).unwrap();
             // Prepare once, execute many: the same parameterized transfer.
-            let program = workload.account_update_program(&db, 1, 1, 1, 10.0).unwrap();
+            let program = workload
+                .account_update_program(engine.db(), 1, 1, 1, 10.0)
+                .unwrap();
             let prepared = engine.prepare(program).unwrap();
             for _ in 0..5 {
                 assert_eq!(
-                    engine.execute_prepared(&prepared),
+                    engine.execute_prepared_checked(&prepared).unwrap(),
                     TxnOutcome::Committed,
                     "{} failed a prepared execution",
                     engine.name()
                 );
             }
-            // Compile-per-call wrapper stays available on the same engine.
-            let once = workload
-                .account_update_program(&db, 1, 2, 11, -5.0)
-                .unwrap();
-            assert_eq!(engine.execute_program(once), TxnOutcome::Committed);
-            engine.shutdown();
-        }
-    }
-
-    #[test]
-    fn timed_execution_feeds_per_type_stats() {
-        for kind in EngineKind::ALL {
-            let engine = bound_engine(kind);
-            let stats = WorkloadStats::new();
-            let mut rng = SmallRng::seed_from_u64(7);
-            for _ in 0..10 {
-                engine.execute_one_timed(&mut rng, &stats);
-            }
-            let row = stats.type_stats(TpcB::ACCOUNT_UPDATE);
-            assert_eq!(row.total(), 10, "{}: every run tallied", engine.name());
-            assert_eq!(
-                row.latency.count(),
-                10,
-                "{}: every run timed",
-                engine.name()
-            );
             engine.shutdown();
         }
     }
 
     #[test]
     fn checked_execution_surfaces_outcomes_for_every_engine() {
+        use dora_core::OnMissing;
+
         for kind in EngineKind::ALL {
-            let db = Database::for_tests();
-            let workload = TpcB::with_accounts(2, 20);
-            workload.setup(&db).unwrap();
-            let engine = build_engine_with(kind, Arc::clone(&db), DoraConfig::for_tests());
-            let arc_workload: Arc<dyn Workload> = Arc::new(TpcB::with_accounts(2, 20));
-            engine.bind(arc_workload, 2).unwrap();
-            let program = workload.account_update_program(&db, 1, 1, 1, 10.0).unwrap();
-            let prepared = engine.prepare(program).unwrap();
+            let (engine, _) = bound_engine(kind);
+            let table = engine.db().table_id("account").unwrap();
+            let bump = |key: i64, on_missing: OnMissing| {
+                TxnProgram::new("bump-account").update(
+                    "bump",
+                    table,
+                    Key::int(1),
+                    Key::int(key),
+                    on_missing,
+                    |_, _| Ok(()),
+                )
+            };
+            let committed = engine.prepare(bump(1, OnMissing::Error)).unwrap();
             assert_eq!(
-                engine.execute_prepared_checked(&prepared).unwrap(),
+                engine.execute_prepared_checked(&committed).unwrap(),
                 TxnOutcome::Committed,
-                "{}: checked prepared path",
+                "{}: committed program",
                 engine.name()
             );
-            let once = workload
-                .account_update_program(&db, 1, 2, 11, -5.0)
-                .unwrap();
-            assert_eq!(
-                engine.execute_program_checked(once).unwrap(),
-                TxnOutcome::Committed,
-                "{}: checked compile-per-call path",
+            // A non-retryable failure reaches the caller as what it is.
+            let missing = engine.prepare(bump(999, OnMissing::Error)).unwrap();
+            assert!(
+                matches!(
+                    engine.execute_prepared_checked(&missing),
+                    Err(DbError::NotFound { .. })
+                ),
+                "{}: a missing record must surface as NotFound",
                 engine.name()
             );
             engine.shutdown();
@@ -536,7 +410,7 @@ mod tests {
     #[test]
     fn rebinding_is_rejected() {
         for kind in EngineKind::ALL {
-            let engine = bound_engine(kind);
+            let (engine, _) = bound_engine(kind);
             let other: Arc<dyn Workload> = Arc::new(TpcB::with_accounts(2, 20));
             assert!(
                 engine.bind(other, 2).is_err(),
@@ -548,20 +422,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no workload bound")]
-    fn executing_unbound_engine_panics() {
-        let db = Database::for_tests();
-        let engine = build_engine(EngineKind::Baseline, db);
-        let mut rng = SmallRng::seed_from_u64(1);
-        engine.execute_one(&mut rng);
-    }
-
-    #[test]
     fn every_registered_engine_serves_snapshot_reads() {
         use dora_core::{OnMissing, TxnProgram};
 
         for kind in EngineKind::ALL {
-            let engine = bound_engine(kind);
+            let (engine, _) = bound_engine(kind);
             let table = engine.db().table_id("account").unwrap();
 
             let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));

@@ -4,14 +4,16 @@
 //! experiment.
 //!
 //! * [`exec`] — the [`ExecutionEngine`] trait and the engine registry:
-//!   bind a workload, execute transactions from its mix, shut down. The
-//!   baseline implements it directly; [`exec::DoraExecution`] adapts the
-//!   DORA engine from `dora-core`.
+//!   bind a workload, prepare programs, execute the prepared handles
+//!   (retrying deadlock victims on either engine), shut down. The baseline
+//!   implements it directly; [`exec::DoraExecution`] adapts the DORA engine
+//!   from `dora-core`.
 //! * [`baseline`] — executes whole transactions on the calling thread with
-//!   full centralized concurrency control, retrying deadlock victims, exactly
-//!   like a worker thread of Shore-MT would.
-//! * [`driver`] — a closed-loop multi-client load driver that runs any
-//!   [`ExecutionEngine`] (or raw job closure) for a fixed duration on a
+//!   full centralized concurrency control, exactly like a worker thread of
+//!   Shore-MT would.
+//! * [`driver`] — [`execute_next`], which draws one program from a
+//!   workload's mix and runs it on an engine, and a closed-loop multi-client
+//!   load driver that runs any [`ExecutionEngine`] (or raw job closure) for a fixed duration on a
 //!   configurable number of client threads and reports throughput, latency,
 //!   the time-breakdown categories of Figures 1–3 and the lock counts of
 //!   Figure 5.
@@ -25,5 +27,5 @@ pub mod exec;
 
 pub use admission::{find_peak, AdmissionController, AdmissionDecision, PeakResult};
 pub use baseline::{BaselineEngine, BaselineOutcome};
-pub use driver::{ClientDriver, DriverConfig, RunResult, StopLatch, TxnOutcome};
+pub use driver::{execute_next, ClientDriver, DriverConfig, RunResult, StopLatch, TxnOutcome};
 pub use exec::{build_engine, build_engine_with, DoraExecution, ExecutionEngine};

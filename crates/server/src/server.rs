@@ -5,7 +5,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dora_common::prelude::*;
-use dora_core::{DoraConfig, TxnProgram};
+use dora_core::{DoraConfig, PreparedProgram, TxnProgram};
 use dora_engine::{build_engine_with, ExecutionEngine};
 use dora_metrics::{incr, CounterKind};
 use dora_storage::Database;
@@ -275,27 +275,16 @@ impl ServerCore {
 
     fn execute(&self, statement: &Statement, params: &Params) -> SubmitOutcome {
         let result = match &*statement.kind {
-            // Read-only statements skip both engines entirely: they run on
-            // this thread against a freshly pinned snapshot, with no DORA
-            // routing and no lock-manager traffic.
-            StatementKind::Prepared(prepared) if self.snapshot_reads && prepared.is_read_only() => {
-                self.engine.execute_snapshot_checked(prepared)
-            }
             // Compile-once/execute-many: the shared step list behind the
             // handle runs directly, no per-call lowering.
-            StatementKind::Prepared(prepared) => self.engine.execute_prepared_checked(prepared),
+            StatementKind::Prepared(prepared) => self.run(prepared),
             // Per-binding build (routing keys are baked in at build time),
-            // then the engine's prepare-and-run path. Eligibility for the
-            // snapshot path is decided per build: the program only exists
-            // once the parameters are bound.
-            StatementKind::Template(build) => match build(self.engine.db(), params) {
-                Ok(program) if self.snapshot_reads && program.is_read_only() => self
-                    .engine
-                    .prepare(program)
-                    .and_then(|prepared| self.engine.execute_snapshot_checked(&prepared)),
-                Ok(program) => self.engine.execute_program_checked(program),
-                Err(_) => return SubmitOutcome::Aborted,
-            },
+            // prepared for this one call. Eligibility for the snapshot path
+            // is decided per build: the program only exists once the
+            // parameters are bound.
+            StatementKind::Template(build) => build(self.engine.db(), params)
+                .and_then(|program| self.engine.prepare(program))
+                .and_then(|prepared| self.run(&prepared)),
         };
         match result {
             Ok(outcome) => outcome.into(),
@@ -304,6 +293,17 @@ impl ServerCore {
             // a possible ghost commit.
             Err(DbError::DurabilityLost) => SubmitOutcome::Failed,
             Err(_) => SubmitOutcome::Aborted,
+        }
+    }
+
+    /// Runs one prepared program. Read-only programs skip both engines
+    /// entirely: they run on this thread against a freshly pinned snapshot,
+    /// with no DORA routing and no lock-manager traffic.
+    fn run(&self, prepared: &PreparedProgram) -> DbResult<TxnOutcome> {
+        if self.snapshot_reads && prepared.is_read_only() {
+            self.engine.execute_snapshot_checked(prepared)
+        } else {
+            self.engine.execute_prepared_checked(prepared)
         }
     }
 

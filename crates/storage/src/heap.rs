@@ -109,16 +109,21 @@ impl HeapFile {
             let mut state = self.state.lock(TimeCategory::OtherContention);
             state.candidates.retain(|p| *p != page_id);
         }
-        // Allocate a new page.
+        // Allocate a new page. It becomes a candidate only once this record
+        // is in it: published earlier, concurrent inserters could fill it
+        // first and this insert would fail as if the record were too large.
         let page_id = {
             let mut state = self.state.lock(TimeCategory::OtherContention);
             let id = PageId(state.page_count);
             state.page_count += 1;
-            state.candidates.push(id);
             id
         };
         match self.try_insert_into(page_id, record, &mut on_insert)? {
-            Some(rid) => Ok(rid),
+            Some(rid) => {
+                let mut state = self.state.lock(TimeCategory::OtherContention);
+                state.candidates.push(page_id);
+                Ok(rid)
+            }
             // A freshly allocated page refusing the record means the record
             // is larger than a page.
             None => Err(DbError::PageFull { table: self.table }),

@@ -193,7 +193,7 @@ mod tests {
         let program = workload.bump_program(&db, &[1, 17, 33, 49]).unwrap();
         assert_eq!(program.step_count(), 4);
         assert_eq!(program.phase_count(), 1);
-        let graph = program.compile_dora();
+        let graph = program.prepare().flow_graph();
         assert_eq!(graph.phase_count(), 1);
         assert_eq!(graph.actions_in(0), 4);
     }

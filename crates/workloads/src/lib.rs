@@ -4,12 +4,12 @@
 //! Each workload provides the schema, a scaled data loader and a transaction
 //! mix in which every transaction is defined **exactly once** as a
 //! declarative `dora_core::TxnProgram` — an ordered list of typed steps with
-//! explicit rendezvous points. The execution engines compile that single
-//! definition for their architecture: `compile_baseline` produces the
-//! sequential body a conventional engine runs under full centralized
-//! concurrency control, `compile_dora` produces the transaction flow graph
-//! of Section 4.1.2 (actions with routing-field identifiers, phases split at
-//! the RVPs).
+//! explicit rendezvous points. `TxnProgram::prepare` lowers that single
+//! definition once into a `PreparedProgram`, which each execution engine
+//! runs its own way: the conventional engine runs the steps in order under
+//! full centralized concurrency control (`run_baseline`), DORA runs the
+//! transaction flow graph of Section 4.1.2 (`flow_graph`: actions with
+//! routing-field identifiers, phases split at the RVPs).
 //!
 //! All workloads route on the leading primary-key column (subscriber id,
 //! warehouse id, branch id, counter id), the choice the paper recommends.

@@ -3,9 +3,10 @@
 //! A workload is a schema, a loader and a *mix* of transactions, each defined
 //! exactly once as a declarative [`TxnProgram`] (see
 //! `dora_core::program`). [`Workload::next_program`] draws one transaction
-//! from the mix; the execution engines compile it for their architecture
-//! (`compile_baseline` for the conventional engine, `compile_dora` for
-//! DORA), so no workload ever writes a transaction body twice.
+//! from the mix; `TxnProgram::prepare` lowers it once and each execution
+//! engine runs the prepared handle its own way (`run_baseline` for the
+//! conventional engine, `flow_graph` for DORA), so no workload ever writes a
+//! transaction body twice.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -42,7 +43,7 @@ pub trait Workload: Send + Sync {
     fn txn_labels(&self) -> &'static [&'static str];
 
     /// Draws one transaction from the workload's mix (inputs generated from
-    /// `rng`) as a declarative program, defined once and compiled by the
+    /// `rng`) as a declarative program, defined once and prepared by the
     /// caller for whichever execution architecture is running it.
     fn next_program(&self, db: &Database, rng: &mut SmallRng) -> DbResult<TxnProgram>;
 
@@ -214,7 +215,7 @@ impl WorkloadStats {
     }
 }
 
-/// Test support: compiles `program` for the conventional engine and runs it
+/// Test support: prepares `program` and runs it on the conventional engine
 /// to completion with the same begin/commit/abort-and-retry loop as
 /// `dora_engine::BaselineEngine` (which lives above this crate in the
 /// dependency graph and therefore cannot be used here).
@@ -223,10 +224,10 @@ pub(crate) fn run_baseline_once(
     db: &Arc<Database>,
     program: TxnProgram,
 ) -> DbResult<BaselineOutcome> {
-    let body = program.compile_baseline();
+    let prepared = program.prepare();
     for _attempt in 0..=db.config().max_retries {
         let txn = db.begin();
-        match body(db, &txn) {
+        match prepared.run_baseline(db, &txn) {
             Ok(()) => {
                 db.commit(&txn)?;
                 return Ok(BaselineOutcome::Committed);
@@ -266,7 +267,7 @@ pub(crate) fn run_baseline_mix(
 }
 
 /// Test support: draws the next transaction of `workload` and executes its
-/// DORA compilation on `engine`.
+/// prepared flow graph on `engine`.
 #[cfg(test)]
 pub(crate) fn run_dora_mix(
     workload: &dyn Workload,
@@ -275,7 +276,7 @@ pub(crate) fn run_dora_mix(
 ) -> TxnOutcome {
     match workload
         .next_program(engine.db(), rng)
-        .and_then(|program| engine.execute(program.compile_dora()))
+        .and_then(|program| engine.execute(program.prepare().flow_graph()))
     {
         Ok(()) => TxnOutcome::Committed,
         Err(_) => TxnOutcome::Aborted,

@@ -9,7 +9,7 @@
 //! All four tables route on the subscriber id, so in DORA every transaction's
 //! actions carry the subscriber id as their identifier and each executor owns
 //! a contiguous range of subscribers. Every transaction is defined exactly
-//! once as a [`TxnProgram`]; the engines compile it for their architecture.
+//! once as a [`TxnProgram`], prepared once and run by either engine.
 
 use std::sync::OnceLock;
 
@@ -712,7 +712,7 @@ mod tests {
     #[test]
     fn baseline_and_dora_agree_on_final_state() {
         // Run the same deterministic sequence of UpdateLocation transactions
-        // through both compilations of the same program (on separate
+        // through both engines' runs of the same program (on separate
         // databases) and compare subscriber locations afterwards.
         let db_base = Database::for_tests();
         let db_dora = Database::for_tests();
@@ -735,7 +735,7 @@ mod tests {
             let program = workload_dora
                 .update_location_program(&db_dora, s_id, location)
                 .unwrap();
-            dora.execute(program.compile_dora()).unwrap();
+            dora.execute(program.prepare().flow_graph()).unwrap();
         }
 
         let tables_base = workload_base.tables(&db_base).unwrap();
@@ -785,11 +785,11 @@ mod tests {
         let program = workload
             .update_subscriber_data_program(&db, 3, 1, 1, 42, false)
             .unwrap();
-        engine.execute(program.compile_dora()).unwrap();
+        engine.execute(program.prepare().flow_graph()).unwrap();
         let program = workload
             .update_subscriber_data_program(&db, 3, 4, 0, 99, true)
             .unwrap();
-        assert!(engine.execute(program.compile_dora()).is_err());
+        assert!(engine.execute(program.prepare().flow_graph()).is_err());
 
         let tables = workload.tables(&db).unwrap();
         let check = db.begin();
@@ -823,13 +823,15 @@ mod tests {
         let parallel = workload
             .update_subscriber_data_program(&db, 3, 1, 1, 42, false)
             .unwrap()
-            .compile_dora();
+            .prepare()
+            .flow_graph();
         assert_eq!(parallel.phase_count(), 1);
         assert_eq!(parallel.actions_in(0), 2);
         let serial = workload
             .update_subscriber_data_program(&db, 3, 1, 1, 42, true)
             .unwrap()
-            .compile_dora();
+            .prepare()
+            .flow_graph();
         assert_eq!(serial.phase_count(), 2, "DORA-S: one action per phase");
         assert!(
             serial.describe()[0][0].starts_with("update-facility"),
@@ -849,7 +851,7 @@ mod tests {
         let program = workload
             .insert_call_forwarding_program(&db, 10, 1, 99, 120)
             .unwrap();
-        engine.execute(program.compile_dora()).unwrap();
+        engine.execute(program.prepare().flow_graph()).unwrap();
         let check = db.begin();
         assert!(db
             .probe_primary(
@@ -866,16 +868,16 @@ mod tests {
         let program = workload
             .insert_call_forwarding_program(&db, 10, 1, 99, 120)
             .unwrap();
-        assert!(engine.execute(program.compile_dora()).is_err());
+        assert!(engine.execute(program.prepare().flow_graph()).is_err());
         // Delete removes it; a second delete aborts.
         let program = workload
             .delete_call_forwarding_program(&db, 10, 1, 99)
             .unwrap();
-        engine.execute(program.compile_dora()).unwrap();
+        engine.execute(program.prepare().flow_graph()).unwrap();
         let program = workload
             .delete_call_forwarding_program(&db, 10, 1, 99)
             .unwrap();
-        assert!(engine.execute(program.compile_dora()).is_err());
+        assert!(engine.execute(program.prepare().flow_graph()).is_err());
         engine.shutdown();
     }
 

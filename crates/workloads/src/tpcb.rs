@@ -346,7 +346,7 @@ mod tests {
         assert_eq!(program.name(), TpcB::ACCOUNT_UPDATE);
         assert_eq!(program.step_count(), 4);
         assert_eq!(program.phase_count(), 2);
-        let graph = program.compile_dora();
+        let graph = program.prepare().flow_graph();
         assert_eq!(graph.phase_count(), 2);
         assert_eq!(graph.actions_in(0), 3);
         assert_eq!(graph.actions_in(1), 1);

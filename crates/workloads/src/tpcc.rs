@@ -176,7 +176,7 @@ impl Tpcc {
     /// Resolves a customer either by id or (60% of the time, as in the
     /// Payment specification) by last name through the secondary index,
     /// returning its (rid, c_id). The concurrency-control mode comes from
-    /// the step context, so the same code serves both compilations.
+    /// the step context, so the same code serves both engines.
     fn resolve_customer(
         tables: &TpccTables,
         ctx: &StepCtx<'_>,
@@ -1215,7 +1215,8 @@ mod tests {
         let graph = workload
             .payment_program(&db, 1, 1, 1, 1, CustomerSelector::ById(1), 10.0)
             .unwrap()
-            .compile_dora();
+            .prepare()
+            .flow_graph();
         assert_eq!(graph.phase_count(), 2, "Figure 4: two phases");
         assert_eq!(
             graph.actions_in(0),
@@ -1237,7 +1238,7 @@ mod tests {
         let dora = DoraEngine::new(Arc::clone(&db_dora), DoraConfig::for_tests());
         workload_dora.bind_dora(&dora, 2).unwrap();
 
-        // The same deterministic payments through both compilations.
+        // The same deterministic payments through both engines.
         for i in 1..=20i64 {
             let w_id = (i % 2) + 1;
             let d_id = (i % 10) + 1;
@@ -1269,7 +1270,7 @@ mod tests {
                     amount,
                 )
                 .unwrap();
-            dora.execute(program.compile_dora()).unwrap();
+            dora.execute(program.prepare().flow_graph()).unwrap();
         }
 
         let tables = workload_base.tables(&db_base).unwrap();
@@ -1318,18 +1319,18 @@ mod tests {
         let program = workload
             .new_order_program(&db, 1, 1, 5, items.clone())
             .unwrap();
-        engine.execute(program.compile_dora()).unwrap();
+        engine.execute(program.prepare().flow_graph()).unwrap();
         // OrderStatus for that customer must find the order and its lines.
         let program = workload
             .order_status_program(&db, 1, 1, CustomerSelector::ById(5))
             .unwrap();
-        engine.execute(program.compile_dora()).unwrap();
+        engine.execute(program.prepare().flow_graph()).unwrap();
         // Delivery picks it up.
         let program = workload.delivery_program(&db, 1, 7).unwrap();
-        engine.execute(program.compile_dora()).unwrap();
+        engine.execute(program.prepare().flow_graph()).unwrap();
         // StockLevel still works afterwards.
         let program = workload.stock_level_program(&db, 1, 1, 100).unwrap();
-        engine.execute(program.compile_dora()).unwrap();
+        engine.execute(program.prepare().flow_graph()).unwrap();
 
         let tables = workload.tables(&db).unwrap();
         let check = db.begin();
@@ -1371,7 +1372,7 @@ mod tests {
         let engine = DoraEngine::new(Arc::clone(&db), DoraConfig::for_tests());
         workload.bind_dora(&engine, 2).unwrap();
         let program = workload.new_order_program(&db, 1, 1, 1, bad_items).unwrap();
-        assert!(engine.execute(program.compile_dora()).is_err());
+        assert!(engine.execute(program.prepare().flow_graph()).is_err());
         // District order counter must not have advanced permanently: both
         // attempts rolled back, so it still holds the loader's initial value
         // (one historical order per customer).

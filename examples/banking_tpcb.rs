@@ -37,7 +37,7 @@ fn main() {
         warmup: Duration::from_millis(100),
         hardware_contexts: num_cpus(),
     });
-    let result = driver.run_engine(Arc::clone(&engine));
+    let result = driver.run_engine(Arc::clone(&engine), workload);
     println!(
         "{} executed {} account updates ({:.0} tps)",
         engine.name(),

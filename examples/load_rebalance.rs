@@ -35,7 +35,8 @@ fn main() {
         let graph = workload
             .get_subscriber_data_program(&db, 1 + (rng.next_u64() % 500) as i64)
             .expect("program")
-            .compile_dora();
+            .prepare()
+            .flow_graph();
         dora.execute(graph).expect("probe");
     }
     println!(
@@ -59,7 +60,8 @@ fn main() {
         let graph = workload
             .get_subscriber_data_program(&db, s_id)
             .expect("program")
-            .compile_dora();
+            .prepare()
+            .flow_graph();
         dora.execute(graph).expect("probe after rebalance");
     }
     println!(

@@ -1,7 +1,7 @@
 //! The paper's running example: the TPC-C Payment transaction, defined once
-//! as a declarative `TxnProgram` and compiled to the DORA transaction flow
-//! graph of Figure 4 (executed step by step, Figure 9) as well as to the
-//! sequential body the conventional engine runs.
+//! as a declarative `TxnProgram`, prepared once, and run both as the DORA
+//! transaction flow graph of Figure 4 (executed step by step, Figure 9) and
+//! step by step on the conventional engine.
 //!
 //! ```text
 //! cargo run --release --example payment_flow
@@ -23,8 +23,8 @@ fn main() {
     workload.setup(&db).expect("load TPC-C");
     println!("loaded TPC-C with {warehouses} warehouses");
 
-    // One declarative definition of Payment, compiled for DORA: the flow
-    // graph the paper draws in Figure 4.
+    // One declarative definition of Payment, prepared and lowered for DORA:
+    // the flow graph the paper draws in Figure 4.
     let graph = workload
         .payment_program(
             &db,
@@ -36,7 +36,8 @@ fn main() {
             42.0,
         )
         .expect("build program")
-        .compile_dora();
+        .prepare()
+        .flow_graph();
     println!("\nPayment transaction flow graph:");
     for (index, phase) in graph.describe().iter().enumerate() {
         println!("  phase {}: {}", index + 1, phase.join(", "));
@@ -52,7 +53,8 @@ fn main() {
         let graph = workload
             .payment_program(&db, w_id, 1, w_id, 1, CustomerSelector::ById(1), 10.0)
             .expect("program")
-            .compile_dora();
+            .prepare()
+            .flow_graph();
         dora.execute(graph).expect("payment");
     }
     println!("\nexecuted {warehouses} Payment transactions under DORA");
@@ -63,17 +65,21 @@ fn main() {
     let graph = workload
         .payment_program(&db, 1, 1, 7, 3, CustomerSelector::ById(2), 99.0)
         .expect("program")
-        .compile_dora();
+        .prepare()
+        .flow_graph();
     dora.execute(graph).expect("remote payment");
     println!("executed a remote-customer Payment (home warehouse 1, customer warehouse 7)");
 
-    // The *same definition* under the conventional engine: compile_baseline
-    // lowers the steps to a sequential body with full centralized locking.
+    // The *same definition* under the conventional engine: the prepared
+    // program runs its steps in order with full centralized locking.
     let baseline = BaselineEngine::new(Arc::clone(&db));
-    let program = workload
+    let prepared = workload
         .payment_program(&db, 2, 2, 2, 2, CustomerSelector::ById(3), 15.0)
-        .expect("program");
-    baseline.execute_program(program).expect("baseline payment");
+        .expect("program")
+        .prepare();
+    baseline
+        .execute_prepared(&prepared)
+        .expect("baseline payment");
     println!("executed one Payment under the conventional engine");
 
     let check = db.begin();

@@ -34,10 +34,10 @@ fn main() {
         workload.setup(db.as_ref()).expect("load TM1");
         let engine = build_engine(kind, db);
         engine
-            .bind(workload, (num_cpus() / 4).max(1))
+            .bind(Arc::clone(&workload), (num_cpus() / 4).max(1))
             .expect("bind");
 
-        let result = driver.run_engine(Arc::clone(&engine));
+        let result = driver.run_engine(Arc::clone(&engine), workload);
         let (row, higher, local) = result.locks_per_100_txns();
         println!(
             "{:<9} {:>8.0} tps | aborts {:>5.1}% (gave up {}) | locks/100txn: row {:.0} higher {:.0} local {:.0}",

@@ -39,7 +39,7 @@ fn high_abort_rate_parallel_plan_keeps_tables_consistent() {
                 let mut aborted = 0u64;
                 for _ in 0..100 {
                     let program = workload.next_program(engine.db(), &mut rng).unwrap();
-                    match engine.execute(program.compile_dora()) {
+                    match engine.execute(program.prepare().flow_graph()) {
                         Ok(()) => committed += 1,
                         Err(_) => aborted += 1,
                     }

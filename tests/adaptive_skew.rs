@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use dora_repro::common::config::AdaptiveConfig;
 use dora_repro::common::prelude::*;
 use dora_repro::dora::{DoraConfig, DoraEngine, RoutingRule};
-use dora_repro::engine::{DoraExecution, ExecutionEngine};
+use dora_repro::engine::{execute_next, DoraExecution, ExecutionEngine};
 use dora_repro::storage::Database;
 use dora_repro::workloads::{SkewedCounters, Workload};
 use rand::rngs::SmallRng;
@@ -49,12 +49,15 @@ fn zipfian_load_triggers_live_resizes_and_balances_executors() {
     let clients: Vec<_> = (0..CLIENTS)
         .map(|seed| {
             let execution = Arc::clone(&execution);
+            let workload = Arc::clone(&workload);
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
                 let mut rng = SmallRng::seed_from_u64(0xADA7 + seed);
                 let mut committed = 0u64;
                 while !stop.load(Ordering::Relaxed) {
-                    if execution.execute_one(&mut rng) == TxnOutcome::Committed {
+                    if execute_next(execution.as_ref(), workload.as_ref(), &mut rng, None)
+                        == TxnOutcome::Committed
+                    {
                         committed += 1;
                     }
                 }

@@ -307,7 +307,7 @@ fn run_contended(elide: bool) -> (Vec<(i64, i64, i64)>, u64, u64) {
                     } else {
                         program
                     };
-                    engine.execute(program.compile_dora()).unwrap();
+                    engine.execute(program.prepare().flow_graph()).unwrap();
                 }
             })
         })

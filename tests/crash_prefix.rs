@@ -69,7 +69,7 @@ fn run_workload(kind: EngineKind, seed: u64) -> Arc<Database> {
             let engine = BaselineEngine::new(Arc::clone(&db));
             for _ in 0..TXNS {
                 let program = workload.next_program(&db, &mut rng).unwrap();
-                let _ = engine.execute_program(program);
+                let _ = engine.execute_prepared(&program.prepare());
             }
         }
         EngineKind::Dora => {
@@ -77,7 +77,7 @@ fn run_workload(kind: EngineKind, seed: u64) -> Arc<Database> {
             workload.bind_dora(&engine, 2).unwrap();
             for _ in 0..TXNS {
                 let program = workload.next_program(&db, &mut rng).unwrap();
-                let _ = engine.execute(program.compile_dora());
+                let _ = engine.execute(program.prepare().flow_graph());
             }
             engine.shutdown();
         }
@@ -255,7 +255,7 @@ fn checkpoint_recovery_matches_full_replay() {
         let mut rng = SmallRng::seed_from_u64(0xD17A + kind as u64);
         for _ in 0..TXNS / 2 {
             let program = workload.next_program(&db, &mut rng).unwrap();
-            let _ = engine.execute_program(program);
+            let _ = engine.execute_prepared(&program.prepare());
         }
 
         let via_checkpoint = fresh_replica();

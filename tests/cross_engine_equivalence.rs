@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use dora_repro::common::prelude::*;
 use dora_repro::dora::DoraConfig;
-use dora_repro::engine::{build_engine_with, ExecutionEngine};
+use dora_repro::engine::{build_engine_with, execute_next, ExecutionEngine};
 use dora_repro::storage::Database;
 use dora_repro::workloads::{AnalyticalScan, TpcB, Workload};
 use rand::rngs::SmallRng;
@@ -30,13 +30,17 @@ fn table_totals(db: &Database, table_name: &str, column: usize) -> f64 {
 }
 
 /// Builds a fresh TPC-B database bound to the given engine kind.
-fn prepared_tpcb(kind: EngineKind, branches: i64, accounts: i64) -> Arc<dyn ExecutionEngine> {
+fn prepared_tpcb(
+    kind: EngineKind,
+    branches: i64,
+    accounts: i64,
+) -> (Arc<dyn ExecutionEngine>, Arc<dyn Workload>) {
     let db = Database::for_tests();
     let workload: Arc<dyn Workload> = Arc::new(TpcB::with_accounts(branches, accounts));
     workload.setup(&db).unwrap();
     let engine = build_engine_with(kind, db, DoraConfig::for_tests());
-    engine.bind(workload, 2).unwrap();
-    engine
+    engine.bind(Arc::clone(&workload), 2).unwrap();
+    (engine, workload)
 }
 
 #[test]
@@ -45,10 +49,10 @@ fn tpcb_same_seed_same_state_across_all_engines() {
     // and compare each state against the first engine's.
     let mut reference: Option<(EngineKind, f64, f64, f64, usize)> = None;
     for kind in EngineKind::ALL {
-        let engine = prepared_tpcb(kind, 4, 50);
+        let (engine, workload) = prepared_tpcb(kind, 4, 50);
         let mut rng = SmallRng::seed_from_u64(2024);
         for _ in 0..200 {
-            engine.execute_one(&mut rng);
+            execute_next(engine.as_ref(), workload.as_ref(), &mut rng, None);
         }
         engine.shutdown();
 
@@ -112,10 +116,10 @@ fn snapshot_and_locked_paths_agree_on_read_only_programs() {
 
     let mut reference: Option<(EngineKind, u64, std::collections::BTreeMap<i64, f64>)> = None;
     for kind in EngineKind::ALL {
-        let engine = prepared_tpcb(kind, 4, 50);
+        let (engine, workload) = prepared_tpcb(kind, 4, 50);
         let mut rng = SmallRng::seed_from_u64(77);
         for _ in 0..150 {
-            engine.execute_one(&mut rng);
+            execute_next(engine.as_ref(), workload.as_ref(), &mut rng, None);
         }
         let db = engine.db();
         let label = kind.label();
@@ -173,14 +177,15 @@ fn concurrent_clients_keep_tpcb_consistent_on_every_engine() {
     // decomposed across executors (for DORA), no centralized locking for
     // probes and updates — yet the money invariant holds on every engine.
     for kind in EngineKind::ALL {
-        let engine = prepared_tpcb(kind, 6, 40);
+        let (engine, workload) = prepared_tpcb(kind, 6, 40);
         let handles: Vec<_> = (0..6u64)
             .map(|seed| {
                 let engine = Arc::clone(&engine);
+                let workload = Arc::clone(&workload);
                 std::thread::spawn(move || {
                     let mut rng = SmallRng::seed_from_u64(seed);
                     for _ in 0..80 {
-                        engine.execute_one(&mut rng);
+                        execute_next(engine.as_ref(), workload.as_ref(), &mut rng, None);
                     }
                 })
             })

@@ -23,7 +23,7 @@ fn dora_committed_state_survives_log_replay() {
     let mut rng = SmallRng::seed_from_u64(99);
     for _ in 0..150 {
         let program = workload.next_program(&db, &mut rng).unwrap();
-        let _ = engine.execute(program.compile_dora());
+        let _ = engine.execute(program.prepare().flow_graph());
     }
     engine.shutdown();
 

@@ -1,6 +1,5 @@
 //! The batched executor message path: drains must preserve per-source FIFO
-//! order of actions, the per-message baseline mode must stay semantically
-//! equivalent, and the batching counters must stay consistent with the
+//! order of actions, and the batching counters must stay consistent with the
 //! message counts.
 
 use std::sync::Arc;
@@ -141,57 +140,6 @@ fn batched_drain_keeps_each_source_sequential() {
     let expected: Vec<i64> = handles.into_iter().map(|h| h.join().unwrap()).collect();
     assert_eq!(counter_value(&db, table, 1), expected[0]);
     assert_eq!(counter_value(&db, table, 2), expected[1]);
-    engine.shutdown();
-}
-
-/// The per-message baseline (`message_batching: false`) must preserve
-/// exactly-once application — it is slower, not different.
-#[test]
-fn per_message_mode_preserves_exactly_once() {
-    let (db, table) = counters_db(100);
-    let config = DoraConfig {
-        message_batching: false,
-        ..DoraConfig::default()
-    };
-    let engine = Arc::new(DoraEngine::new(Arc::clone(&db), config));
-    engine.bind_table(table, 4, 1, 100).unwrap();
-
-    let threads = 4i64;
-    let per_thread = 100i64;
-    let handles: Vec<_> = (0..threads)
-        .map(|seed| {
-            let engine = Arc::clone(&engine);
-            std::thread::spawn(move || {
-                let mut committed = 0u64;
-                let mut value = 0xACE ^ seed as u64;
-                for _ in 0..per_thread {
-                    value = value.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    let id = 1 + (value % 100) as i64;
-                    // Multi-action transactions may abort as deadlock victims
-                    // in this mode (dispatches are not latched atomically);
-                    // single-action ones must all commit.
-                    engine
-                        .execute(apply_graph(table, id, |n| n + 1))
-                        .expect("single-action txns cannot deadlock");
-                    committed += 1;
-                }
-                committed
-            })
-        })
-        .collect();
-    let total: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-
-    let check = db.begin();
-    let mut sum = 0i64;
-    db.scan_table(&check, table, CcMode::Full, |_, row| {
-        sum += row[1].as_int().unwrap();
-    })
-    .unwrap();
-    db.commit(&check).unwrap();
-    assert_eq!(
-        sum as u64, total,
-        "per-message mode lost or duplicated work"
-    );
     engine.shutdown();
 }
 

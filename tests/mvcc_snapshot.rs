@@ -18,6 +18,8 @@
 //!   `recover_prefixes_into` replay cut at those horizons.
 //! * **Bounded history** — version chains are reclaimable once the snapshots
 //!   pinning them are gone.
+//! * **Key reuse** — a snapshot pinned before a key is deleted and
+//!   re-inserted (under a new RID) still sees the original row.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -25,9 +27,9 @@ use std::sync::Arc;
 
 use dora_repro::common::prelude::*;
 use dora_repro::dora::DoraConfig;
-use dora_repro::engine::{build_engine_with, ExecutionEngine};
+use dora_repro::engine::{build_engine_with, execute_next, ExecutionEngine};
 use dora_repro::metrics::{current_thread_snapshot, CounterKind};
-use dora_repro::storage::{Database, Snapshot};
+use dora_repro::storage::{ColumnDef, Database, Snapshot, TableSchema};
 use dora_repro::workloads::{TpcB, Workload};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -48,17 +50,18 @@ impl WriterPool {
         let workload: Arc<dyn Workload> = Arc::new(TpcB::with_accounts(BRANCHES, ACCOUNTS));
         workload.setup(&db).unwrap();
         let engine = build_engine_with(kind, db, DoraConfig::for_tests());
-        engine.bind(workload, 2).unwrap();
+        engine.bind(Arc::clone(&workload), 2).unwrap();
 
         let stop = Arc::new(AtomicBool::new(false));
         let writers = (0..threads as u64)
             .map(|seed| {
                 let engine = Arc::clone(&engine);
+                let workload = Arc::clone(&workload);
                 let stop = Arc::clone(&stop);
                 std::thread::spawn(move || {
                     let mut rng = SmallRng::seed_from_u64(0x5EED ^ seed);
                     while !stop.load(Ordering::Relaxed) {
-                        engine.execute_one(&mut rng);
+                        execute_next(engine.as_ref(), workload.as_ref(), &mut rng, None);
                     }
                 })
             })
@@ -302,4 +305,53 @@ fn version_chains_are_reclaimed_after_the_last_snapshot_releases() {
         after.oldest_snapshot, None,
         "no snapshot may remain registered"
     );
+}
+
+#[test]
+fn snapshot_probe_survives_delete_then_reinsert() {
+    let db = Database::for_tests();
+    let table = db
+        .create_table(TableSchema::new(
+            "accounts",
+            vec![
+                ColumnDef::new("id", ValueType::Int),
+                ColumnDef::new("owner", ValueType::Text),
+                ColumnDef::new("balance", ValueType::Float),
+            ],
+            vec![0],
+        ))
+        .unwrap();
+    let account = |owner: &str, balance: f64| {
+        vec![
+            Value::Int(1),
+            Value::Text(owner.into()),
+            Value::Float(balance),
+        ]
+    };
+    let setup = db.begin();
+    db.insert(&setup, table, account("alice", 100.0), CcMode::Full)
+        .unwrap();
+    db.commit(&setup).unwrap();
+
+    let old = Arc::new(db.snapshot());
+
+    // Delete key 1, then re-insert it (new RID), both after the snapshot.
+    let deleter = db.begin();
+    db.delete_primary(&deleter, table, &Key::int(1), CcMode::Full)
+        .unwrap();
+    db.commit(&deleter).unwrap();
+    let inserter = db.begin();
+    db.insert(&inserter, table, account("alice-v2", 7.0), CcMode::Full)
+        .unwrap();
+    db.commit(&inserter).unwrap();
+
+    // The pinned snapshot predates both: it must still see the original row.
+    let reader = db.begin_snapshot(Arc::clone(&old));
+    let got = db
+        .probe_primary(&reader, table, &Key::int(1), false, CcMode::Full)
+        .unwrap();
+    db.commit(&reader).unwrap();
+    let (_, row) = got.expect("snapshot pinned before the delete must still see key 1");
+    assert_eq!(row[1], Value::Text("alice".into()));
+    assert_eq!(row[2], Value::Float(100.0));
 }

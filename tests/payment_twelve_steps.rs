@@ -38,7 +38,8 @@ fn payment_twelve_steps() {
     let graph = workload
         .payment_program(&db, 1, 3, 1, 3, CustomerSelector::ById(7), 120.0)
         .unwrap()
-        .compile_dora();
+        .prepare()
+        .flow_graph();
     assert_eq!(
         graph.phase_count(),
         2,
@@ -95,7 +96,8 @@ fn payment_twelve_steps() {
     let graph = workload
         .payment_program(&db, 1, 3, 1, 3, CustomerSelector::ById(7), 30.0)
         .unwrap()
-        .compile_dora();
+        .prepare()
+        .flow_graph();
     engine.execute(graph).unwrap();
     engine.shutdown();
 }
@@ -114,7 +116,8 @@ fn remote_customer_payment_is_not_a_distributed_transaction() {
     let graph = workload
         .payment_program(&db, 1, 1, 3, 9, CustomerSelector::ById(11), 55.0)
         .unwrap()
-        .compile_dora();
+        .prepare()
+        .flow_graph();
     engine.execute(graph).unwrap();
 
     let customer = db.table_id("customer").unwrap();

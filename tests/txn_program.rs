@@ -1,12 +1,12 @@
 //! Property tests for the declarative transaction-program subsystem: for
 //! randomly generated `TxnProgram`s,
 //!
-//! 1. `compile_dora()` tiles exactly over the steps — every step becomes
-//!    exactly one action, phases split exactly at the RVP boundaries,
-//!    secondary steps stay unrouted, and the serialized plan puts one action
-//!    per phase — and
-//! 2. executing the same seeded program sequence through the baseline
-//!    compilation and through the DORA engine yields identical final table
+//! 1. the prepared program's `flow_graph()` tiles exactly over the steps —
+//!    every step becomes exactly one action, phases split exactly at the RVP
+//!    boundaries, secondary steps stay unrouted, and the serialized plan puts
+//!    one action per phase — and
+//! 2. executing the same seeded sequence of prepared programs through
+//!    `run_baseline` and through the DORA engine yields identical final table
 //!    contents (the generic replacement for the per-workload cross-engine
 //!    equivalence checks: any workload expressed in the DSL inherits this
 //!    guarantee).
@@ -15,9 +15,9 @@ use std::sync::Arc;
 
 use dora_repro::common::prelude::*;
 use dora_repro::dora::{
-    DoraConfig, DoraEngine, LocalMode, OnDuplicate, OnMissing, Step, TxnProgram,
+    DoraConfig, DoraEngine, LocalMode, OnDuplicate, OnMissing, PreparedProgram, Step, TxnProgram,
 };
-use dora_repro::storage::{ColumnDef, Database, TableSchema, TxnHandle};
+use dora_repro::storage::{ColumnDef, Database, TableSchema};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -43,7 +43,7 @@ fn counters_db() -> (Arc<Database>, TableId) {
 }
 
 /// One generated step description — kept as data so the same description can
-/// deterministically build identical `Step`s for both compilations.
+/// deterministically build identical `Step`s wherever it is needed.
 #[derive(Debug, Clone, Copy)]
 enum GenStep {
     /// Add `delta` to counter `key` (aborts the txn if the key is missing,
@@ -188,7 +188,7 @@ fn compiled_graphs_tile_exactly_over_the_steps() {
         let secondary_count = program.secondary_count();
         assert_eq!(step_count, steps.len());
 
-        let graph = program.compile_dora();
+        let graph = program.prepare().flow_graph();
         // Every step lowers to exactly one action; none are dropped or
         // duplicated.
         assert_eq!(graph.action_count(), step_count, "steps: {steps:?}");
@@ -204,7 +204,7 @@ fn compiled_graphs_tile_exactly_over_the_steps() {
             let sizes: usize = (0..graph.phase_count()).map(|p| graph.actions_in(p)).sum();
             assert_eq!(sizes, step_count);
         }
-        // Secondary steps stay unrouted through compilation.
+        // Secondary steps stay unrouted through the lowering.
         let described_secondary = graph
             .describe()
             .iter()
@@ -215,13 +215,13 @@ fn compiled_graphs_tile_exactly_over_the_steps() {
     }
 }
 
-/// Runs a compiled baseline body as one transaction. The sequence is
-/// single-threaded, so deadlock retries cannot occur: any error is a
-/// deterministic program outcome and rolls the transaction back, exactly as
-/// the DORA path does.
-fn run_baseline(db: &Arc<Database>, body: impl Fn(&Database, &TxnHandle) -> DbResult<()>) {
+/// Runs a prepared program on the conventional path as one transaction. The
+/// sequence is single-threaded, so deadlock retries cannot occur: any error
+/// is a deterministic program outcome and rolls the transaction back,
+/// exactly as the DORA path does.
+fn run_baseline(db: &Arc<Database>, prepared: &PreparedProgram) {
     let txn = db.begin();
-    match body(db, &txn) {
+    match prepared.run_baseline(db, &txn) {
         Ok(()) => db.commit(&txn).unwrap(),
         Err(_) => {
             let _ = db.abort(&txn);
@@ -254,13 +254,12 @@ fn baseline_and_dora_compilations_of_the_same_sequence_agree() {
     let mut committed = 0u32;
     let mut aborted = 0u32;
     for round in 0..120 {
-        // One generated description, two identical programs, two compilers.
+        // One generated program, lowered once, run by both engines.
         let (steps, breaks, serial) = generate(&mut rng, 1_000 + round * 100);
-        let base_program = build_program(table, &steps, &breaks, serial);
-        let dora_program = build_program(table, &steps, &breaks, serial);
+        let prepared = build_program(table, &steps, &breaks, serial).prepare();
 
-        run_baseline(&db_base, base_program.compile_baseline());
-        match engine.execute(dora_program.compile_dora()) {
+        run_baseline(&db_base, &prepared);
+        match engine.execute(prepared.flow_graph()) {
             Ok(()) => committed += 1,
             Err(_) => aborted += 1,
         }
